@@ -83,8 +83,6 @@ FORMATS = ("json", "csv")
 class RunConfig:
     format: str = "json"
     budget: int = DEFAULT_BUDGET
-    seed: Optional[int] = None
-    threads: int = 1
     svg_path: Optional[str] = None
 
     @staticmethod
@@ -92,8 +90,6 @@ class RunConfig:
         return RunConfig(
             format=getattr(ns, "format", "json"),
             budget=getattr(ns, "budget", DEFAULT_BUDGET),
-            seed=getattr(ns, "seed", None),
-            threads=getattr(ns, "threads", 1),
             svg_path=getattr(ns, "svg", None),
         )
 
@@ -232,7 +228,7 @@ def _parse_rat_list(text: str, expect: int, what: str) -> List[Rat]:
 
 def _cmd_spectre(ns: argparse.Namespace, cfg: RunConfig) -> int:
     A = decode_set(load_path(ns.set))
-    S = spectre(A, mode=ns.mode)
+    S = spectre(A, mode=ns.mode, budget=cfg.budget)
     _emit(cfg, *_set_payload(S))
     return 0
 
@@ -465,10 +461,6 @@ def _common_options() -> argparse.ArgumentParser:
                         help="output format (default json)")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration budget (default 2^20)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved for randomized helpers; accepted, unused")
-    common.add_argument("--threads", type=int, default=1,
-                        help="advisory; all computations run single-threaded")
     return common
 
 

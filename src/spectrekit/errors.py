@@ -31,7 +31,7 @@ class DomainError(SpectreKitError):
 class BudgetExceededError(SpectreKitError):
     """An enumeration would exceed the configured budget."""
 
-    def __init__(self, size: int, budget: int):
+    def __init__(self, size: int | str, budget: int):
         self.size = size
         self.budget = budget
         super().__init__(f"enumeration of size {size} exceeds budget {budget}")
@@ -42,3 +42,17 @@ def check_budget(size: int, budget: int | None = None) -> None:
     limit = DEFAULT_BUDGET if budget is None else budget
     if size > limit:
         raise BudgetExceededError(size, limit)
+
+
+def check_budget_power(base: int, exponent: int, budget: int | None = None) -> None:
+    """Raise BudgetExceededError when ``base**exponent`` items would not fit
+    in ``budget`` (base >= 1).  The power is only built while it stays within
+    the budget, so a huge exponent costs a few steps, not a huge integer."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    size = 1
+    for _ in range(exponent):
+        if size > limit:
+            break
+        size *= base
+    if size > limit:
+        raise BudgetExceededError(f"{base}^{exponent}", limit)

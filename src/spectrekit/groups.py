@@ -11,6 +11,10 @@ Distances are exact.  The euclidean metric on rational points generally has
 an irrational value, so that choice computes the squared distance instead and
 tags the result; tagged and untagged values refuse to be ordered against each
 other, which keeps comparisons honest without ever leaving the rationals.
+
+``Grid`` encodes the points of one context as integer tuples and carries the
+group law and the metric over to them.  Every set-level kernel computes on a
+grid and leaves it through ``Grid.to_set``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from .errors import DomainError, GroupMismatchError
 from .rational import Point, Rat
@@ -76,6 +80,7 @@ class FiniteAbelian:
 
 
 GroupCtx = Union[RationalSpace, FiniteAbelian]
+IntPoint = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -173,18 +178,8 @@ def scalar_mul(ctx: GroupCtx, n: int, p: Point) -> Point:
 
 def dist(ctx: GroupCtx, p: Point, q: Point) -> DistValue:
     """Exact distance between two points of ``ctx``."""
-    if isinstance(ctx, FiniteAbelian):
-        worst = 0
-        for a, b, m in zip(p, q, ctx.moduli):
-            r = (int(a) - int(b)) % m
-            worst = max(worst, min(r, m - r))
-        return DistValue(Fraction(worst))
-    diffs = [abs(a - b) for a, b in zip(p, q)]
-    if ctx.metric == SUP:
-        return DistValue(max(diffs))
-    if ctx.metric == TAXICAB:
-        return DistValue(sum(diffs, _ZERO))
-    return DistValue(sum((d * d for d in diffs), _ZERO), squared=True)
+    grid = Grid.of(ctx, (p, q))
+    return grid.dist_value(grid.dist(grid.to_int(p), grid.to_int(q)))
 
 
 def triangle_holds(ab: DistValue, bc: DistValue, ac: DistValue) -> bool:
@@ -208,12 +203,92 @@ def subgroup_generated(ctx: FiniteAbelian, x: Point):
     """The cyclic subgroup <x> of a finite Abelian group, as a FiniteSet."""
     if not isinstance(ctx, FiniteAbelian):
         raise DomainError("subgroup enumeration needs a finite Abelian context")
-    from .sets import finite_set
-
-    x = validate_point(ctx, x)
-    seen = [zero(ctx)]
+    grid = Grid.of(ctx)
+    x = grid.to_int(validate_point(ctx, x))
+    seen = [grid.to_int(zero(ctx))]
     current = x
     while current != seen[0]:
         seen.append(current)
-        current = group_add(ctx, current, x)
-    return finite_set(ctx, seen)
+        current = grid.add(current, x)
+    return grid.to_set(seen)
+
+
+# -- the integer grid ---------------------------------------------------------
+
+_INT_METRICS = {
+    SUP: lambda p, q: max(abs(a - b) for a, b in zip(p, q)),
+    TAXICAB: lambda p, q: sum(abs(a - b) for a, b in zip(p, q)),
+    EUCLIDEAN_SQUARED: lambda p, q: sum((a - b) * (a - b) for a, b in zip(p, q)),
+}
+
+
+class Grid:
+    """The points of one context as integer tuples, with the group law and the
+    metric carried over to them.
+
+    A rational coordinate c becomes c * scale, so ``scale`` must be a multiple
+    of every denominator the grid sees; ``Grid.of`` takes the lcm.  Residues
+    of a finite Abelian group keep scale 1, and ``add``, ``sub`` and ``neg``
+    wrap them modulo ``moduli``.  ``dist`` is the context's metric on grid
+    points: the raw value is the true distance times scale (times scale
+    squared under euclidean-squared), and ``dist_value`` maps it back.
+    """
+
+    def __init__(self, ctx: GroupCtx, scale: int):
+        self.ctx = ctx
+        self.scale = scale
+        if isinstance(ctx, FiniteAbelian):
+            ms = self.moduli = ctx.moduli
+            self.metric = None
+            self.add = lambda p, q: tuple((a + b) % m for a, b, m in zip(p, q, ms))
+            self.sub = lambda p, q: tuple((a - b) % m for a, b, m in zip(p, q, ms))
+            self.neg = lambda p: tuple(-a % m for a, m in zip(p, ms))
+
+            def torus(p: IntPoint, q: IntPoint) -> int:
+                worst = 0
+                for a, b, m in zip(p, q, ms):
+                    r = (a - b) % m
+                    wrap = min(r, m - r)
+                    if wrap > worst:
+                        worst = wrap
+                return worst
+
+            self.dist = torus
+        else:
+            self.moduli, self.metric = None, ctx.metric
+            self.add = lambda p, q: tuple(a + b for a, b in zip(p, q))
+            self.sub = lambda p, q: tuple(a - b for a, b in zip(p, q))
+            self.neg = lambda p: tuple(-a for a in p)
+            self.dist = _INT_METRICS[ctx.metric]
+
+    @classmethod
+    def of(cls, ctx: GroupCtx, *point_seqs: Iterable[Point]) -> "Grid":
+        """The coarsest grid of ``ctx`` that holds every given point."""
+        if isinstance(ctx, FiniteAbelian):
+            return cls(ctx, 1)
+        dens = {c.denominator for pts in point_seqs for p in pts for c in p}
+        return cls(ctx, math.lcm(1, *dens))
+
+    def to_int(self, p: Point) -> IntPoint:
+        scale = self.scale
+        return tuple(c.numerator * (scale // c.denominator) for c in p)
+
+    def dist_value(self, raw: int) -> DistValue:
+        if self.metric == EUCLIDEAN_SQUARED:
+            return DistValue(Fraction(raw, self.scale * self.scale), squared=True)
+        return DistValue(Fraction(raw, self.scale))
+
+    def to_set(self, int_points: Iterable[IntPoint]):
+        """The FiniteSet of the given grid points.
+
+        Points made by this grid's operations are valid by construction, and
+        under one positive scale integer order is rational order, so sorting
+        the integers yields the canonical layout without re-validating.
+        """
+        from .sets import FiniteSet
+
+        pts = sorted(set(int_points))
+        if not pts:
+            raise DomainError("a finite set needs at least one point")
+        scale = self.scale
+        return FiniteSet(self.ctx, tuple(tuple(Fraction(c, scale) for c in p) for p in pts))

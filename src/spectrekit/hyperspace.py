@@ -13,63 +13,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DomainError, check_budget
+from .errors import DomainError, check_budget_power
 from .groups import (
-    EUCLIDEAN_SQUARED,
     DistValue,
     FiniteAbelian,
+    Grid,
+    IntPoint,
     RationalSpace,
     require_same_ctx,
 )
 from .rational import Rat
-from .sets import (
-    FiniteSet,
-    IntPoint,
-    _dist_int_fn,
-    _dist_value,
-    _IntView,
-    finite_set,
-    min_positive_distance,
-    spectre,
-)
+from .sets import FiniteSet, finite_set, min_positive_distance, spectre
 
 
-def _joint_view(A: FiniteSet, B: FiniteSet) -> Tuple[_IntView, List[IntPoint], List[IntPoint]]:
-    """Rescale two sets of the same context onto one integer grid."""
+def _directed(grid: Grid, ps: List[IntPoint], qs: List[IntPoint]) -> int:
+    """max over p of min over q of d(p, q), in raw grid units."""
+    d = grid.dist
+    return max(min(d(p, q) for q in qs) for p in ps)
+
+
+def _joint_grid(A: FiniteSet, B: FiniteSet) -> Tuple[Grid, List[IntPoint], List[IntPoint]]:
     require_same_ctx(A.ctx, B.ctx)
-    if isinstance(A.ctx, FiniteAbelian):
-        pa = [tuple(int(c) for c in p) for p in A.elements]
-        pb = [tuple(int(c) for c in p) for p in B.elements]
-        return _IntView(pa + pb, 1, A.ctx.moduli, None), pa, pb
-    scale = 1
-    for S in (A, B):
-        for p in S.elements:
-            for c in p:
-                scale = lcm(scale, c.denominator)
-
-    def conv(S: FiniteSet) -> List[IntPoint]:
-        return [
-            tuple(c.numerator * (scale // c.denominator) for c in p)
-            for p in S.elements
-        ]
-
-    pa, pb = conv(A), conv(B)
-    return _IntView(pa + pb, scale, None, A.ctx.metric), pa, pb
+    grid = Grid.of(A.ctx, A, B)
+    return grid, [grid.to_int(p) for p in A], [grid.to_int(p) for p in B]
 
 
 def hausdorff(A: FiniteSet, B: FiniteSet) -> DistValue:
     """Exact Hausdorff distance: the larger of the two directed distances
     max_a min_b d(a, b) and max_b min_a d(a, b)."""
-    view, pa, pb = _joint_view(A, B)
-    d = _dist_int_fn(view)
-
-    def directed(ps: List[IntPoint], qs: List[IntPoint]) -> int:
-        return max(min(d(p, q) for q in qs) for p in ps)
-
-    return _dist_value(view, max(directed(pa, pb), directed(pb, pa)))
+    grid, pa, pb = _joint_grid(A, B)
+    return grid.dist_value(max(_directed(grid, pa, pb), _directed(grid, pb, pa)))
 
 
 def fatten_contains(B: FiniteSet, A: FiniteSet, eps: Rat) -> bool:
@@ -79,13 +55,8 @@ def fatten_contains(B: FiniteSet, A: FiniteSet, eps: Rat) -> bool:
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("fattening radius must be positive")
-    view, pa, pb = _joint_view(A, B)
-    d = _dist_int_fn(view)
-    if view.metric == EUCLIDEAN_SQUARED:
-        threshold = eps * view.scale * view.scale
-    else:
-        threshold = eps * view.scale
-    return all(min(d(b, a) for a in pa) < threshold for b in pb)
+    grid, pa, pb = _joint_grid(A, B)
+    return grid.dist_value(_directed(grid, pb, pa)).value < eps
 
 
 # -- continuity probes --------------------------------------------------------
@@ -209,17 +180,11 @@ def refute_spectre_image(ctx: FiniteAbelian, target: FiniteSet,
         raise DomainError("image refutation scans a finite Abelian group")
     require_same_ctx(ctx, target.ctx)
     order = ctx.order()
-    check_budget(1 << order, budget)
-    elems = [tuple(int(c) for c in p) for p in sorted(ctx.elements())]
-    moduli = ctx.moduli
-    target_ints = frozenset(tuple(int(c) for c in p) for p in target)
-
-    def add(p: IntPoint, q: IntPoint) -> IntPoint:
-        return tuple((a + b) % m for a, b, m in zip(p, q, moduli))
-
-    def sub(p: IntPoint, q: IntPoint) -> IntPoint:
-        return tuple((a - b) % m for a, b, m in zip(p, q, moduli))
-
+    check_budget_power(2, order, budget)
+    grid = Grid.of(ctx)
+    add, sub = grid.add, grid.sub
+    elems = [grid.to_int(p) for p in ctx.elements()]
+    target_ints = frozenset(grid.to_int(p) for p in target)
     scanned = 0
     for mask in range(1, 1 << order):
         pts = [elems[i] for i in range(order) if mask >> i & 1]
@@ -233,6 +198,5 @@ def refute_spectre_image(ctx: FiniteAbelian, target: FiniteSet,
             if all(add(x, z) in member or sub(x, z) in member for x in pts):
                 spec.add(z)
         if spec == target_ints:
-            witness = finite_set(ctx, ((tuple(Fraction(c) for c in p)) for p in pts))
-            return RefuteResult(True, witness, scanned)
+            return RefuteResult(True, grid.to_set(pts), scanned)
     return RefuteResult(False, None, scanned)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
-from .errors import DomainError, check_budget
+from .errors import DomainError, check_budget_power
 from .groups import RationalSpace
 from .rational import Rat, RatLike, as_rat
 from .sets import FiniteSet, finite_set
@@ -50,7 +50,7 @@ def pspec(coeffs: Iterable[RatLike], terms: Iterable[RatLike]) -> PSpec:
 
 def psum_set(spec: PSpec, budget: Optional[int] = None) -> FiniteSet:
     """T = {sum of xi_n a_n : xi_n in P}, as a one-dimensional set."""
-    check_budget(len(spec.coeffs) ** len(spec.terms), budget)
+    check_budget_power(len(spec.coeffs), len(spec.terms), budget)
     sums = {Fraction(0)}
     for a in spec.terms:
         sums = {s + xi * a for s in sums for xi in spec.coeffs}

@@ -16,11 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, SpectreKitError, check_budget
-from .groups import SUP, RationalSpace, group_add, zero
+from .errors import DomainError, SpectreKitError, check_budget_power
+from .groups import SUP, Grid, RationalSpace, zero
 from .rational import Point, Rat, RatLike, as_rat, format_rat, point
 from .reports import CheckItem, LemmaReport, report
-from .sets import FiniteSet, center_of_distances, finite_set, spectre
+from .sets import FiniteSet, center_of_distances, spectre
 
 TermLike = Union[RatLike, Sequence[RatLike]]
 
@@ -86,7 +86,7 @@ def series_spec(terms: Iterable[TermLike], dim: Optional[int] = None) -> SeriesS
 
 def _subset_sums(ctx: RationalSpace, terms: Sequence[Point],
                  budget: Optional[int]) -> FiniteSet:
-    check_budget(1 << len(terms), budget)
+    check_budget_power(2, len(terms), budget)
     return _subset_sums_cached(ctx, tuple(terms))
 
 
@@ -95,10 +95,13 @@ def _subset_sums_cached(ctx: RationalSpace, terms: Tuple[Point, ...]) -> FiniteS
     # The budget check stays in the caller so a tight budget still raises
     # even when the enumeration happens to be cached.  FiniteSet is frozen,
     # so sharing one instance across callers is safe.
-    sums = {zero(ctx)}
+    grid = Grid.of(ctx, terms)
+    add = grid.add
+    sums = {grid.to_int(zero(ctx))}
     for t in terms:
-        sums |= {group_add(ctx, s, t) for s in sums}
-    return finite_set(ctx, sums)
+        ti = grid.to_int(t)
+        sums |= {add(s, ti) for s in sums}
+    return grid.to_set(sums)
 
 
 def initial_subsums(s: SeriesSpec, k: int,

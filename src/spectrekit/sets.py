@@ -7,9 +7,9 @@ finite set A in an Abelian metric group:
 * a distance value lies in the center C(A) when every x in A realizes it
   against some point of A.
 
-Both are computed exactly.  Rational coordinates are rescaled once to a
-common integer grid so the inner membership loops run on machine integers;
-results are mapped back to canonical rationals at the end.
+Both are computed exactly.  Every kernel here rescales its points once onto
+a ``groups.Grid``, so the inner membership loops run on machine integers,
+and returns its result through ``Grid.to_set``.
 """
 
 from __future__ import annotations
@@ -18,16 +18,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, SpectreKitError
+from .errors import DomainError, SpectreKitError, check_budget
 from .groups import (
-    EUCLIDEAN_SQUARED,
-    SUP,
-    TAXICAB,
     DistValue,
-    FiniteAbelian,
+    Grid,
     GroupCtx,
     RationalSpace,
     group_add,
@@ -38,8 +34,6 @@ from .groups import (
     zero,
 )
 from .rational import Point, Rat
-
-IntPoint = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -76,94 +70,29 @@ def finite_set(ctx: GroupCtx, points: Iterable[Point]) -> FiniteSet:
 
 def translate(A: FiniteSet, t: Point) -> FiniteSet:
     t = validate_point(A.ctx, t)
-    return finite_set(A.ctx, (group_add(A.ctx, p, t) for p in A))
+    grid = Grid.of(A.ctx, A, [t])
+    ti = grid.to_int(t)
+    return grid.to_set(grid.add(grid.to_int(p), ti) for p in A)
 
 
 def negate(A: FiniteSet) -> FiniteSet:
-    return finite_set(A.ctx, (group_neg(A.ctx, p) for p in A))
+    grid = Grid.of(A.ctx, A)
+    return grid.to_set(grid.neg(grid.to_int(p)) for p in A)
 
 
 def minkowski_sum(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     require_same_ctx(A.ctx, B.ctx)
-    return finite_set(A.ctx, (group_add(A.ctx, a, b) for a in A for b in B))
+    grid = Grid.of(A.ctx, A, B)
+    pa = [grid.to_int(p) for p in A]
+    pb = [grid.to_int(q) for q in B]
+    return grid.to_set(grid.add(p, q) for p in pa for q in pb)
 
 
 def difference_set(A: FiniteSet) -> FiniteSet:
     """A - A, the set of pairwise differences (always symmetric, contains 0)."""
-    return finite_set(A.ctx, (group_sub(A.ctx, p, q) for p in A for q in A))
-
-
-# -- integer-grid views -------------------------------------------------------
-
-@dataclass
-class _IntView:
-    """Elements rescaled to an integer grid: coordinate c becomes c * scale.
-
-    Finite Abelian contexts keep scale 1 and carry their moduli; rational
-    contexts carry the metric name so distances can be computed in integers.
-    """
-
-    pts: List[IntPoint]
-    scale: int
-    moduli: Optional[Tuple[int, ...]]
-    metric: Optional[str]
-
-    def add(self, p: IntPoint, q: IntPoint) -> IntPoint:
-        if self.moduli is not None:
-            return tuple((a + b) % m for a, b, m in zip(p, q, self.moduli))
-        return tuple(a + b for a, b in zip(p, q))
-
-    def sub(self, p: IntPoint, q: IntPoint) -> IntPoint:
-        if self.moduli is not None:
-            return tuple((a - b) % m for a, b, m in zip(p, q, self.moduli))
-        return tuple(a - b for a, b in zip(p, q))
-
-    def neg(self, p: IntPoint) -> IntPoint:
-        if self.moduli is not None:
-            return tuple((-a) % m for a, m in zip(p, self.moduli))
-        return tuple(-a for a in p)
-
-    def unscale(self, p: IntPoint) -> Point:
-        return tuple(Fraction(c, self.scale) for c in p)
-
-
-def _int_view(A: FiniteSet) -> _IntView:
-    if isinstance(A.ctx, FiniteAbelian):
-        pts = [tuple(int(c) for c in p) for p in A.elements]
-        return _IntView(pts, 1, A.ctx.moduli, None)
-    scale = 1
-    for p in A.elements:
-        for c in p:
-            scale = lcm(scale, c.denominator)
-    pts = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in A.elements]
-    return _IntView(pts, scale, None, A.ctx.metric)
-
-
-def _dist_int_fn(view: _IntView) -> Callable[[IntPoint, IntPoint], int]:
-    if view.moduli is not None:
-        moduli = view.moduli
-
-        def d(p: IntPoint, q: IntPoint) -> int:
-            worst = 0
-            for a, b, m in zip(p, q, moduli):
-                r = (a - b) % m
-                wrap = min(r, m - r)
-                if wrap > worst:
-                    worst = wrap
-            return worst
-
-        return d
-    if view.metric == SUP:
-        return lambda p, q: max(abs(a - b) for a, b in zip(p, q))
-    if view.metric == TAXICAB:
-        return lambda p, q: sum(abs(a - b) for a, b in zip(p, q))
-    return lambda p, q: sum((a - b) * (a - b) for a, b in zip(p, q))
-
-
-def _dist_value(view: _IntView, raw: int) -> DistValue:
-    if view.metric == EUCLIDEAN_SQUARED:
-        return DistValue(Fraction(raw, view.scale * view.scale), squared=True)
-    return DistValue(Fraction(raw, view.scale))
+    grid = Grid.of(A.ctx, A)
+    pts = [grid.to_int(p) for p in A]
+    return grid.to_set(grid.sub(p, q) for p in pts for q in pts)
 
 
 # -- spectre and center -------------------------------------------------------
@@ -171,75 +100,76 @@ def _dist_value(view: _IntView, raw: int) -> DistValue:
 SPECTRE_MODES = ("fast", "oracle")
 
 
-def spectre(A: FiniteSet, mode: str = "fast") -> FiniteSet:
+def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> FiniteSet:
     """S(A) = {z : for every x in A, x+z in A or x-z in A}.
 
     The fast mode tests only candidates from (A - a) and (a - A) for a single
     anchor a, which is complete: any admissible z must move the anchor into A
     in one of the two directions.  The oracle mode rescans the full pairwise
-    difference set (or the whole group, when it is finite) and exists so the
-    two routes can be checked against each other.
+    difference set (or the whole group, when it is finite, which must fit in
+    ``budget``) and exists so the two routes can be checked against each
+    other.
     """
     if mode not in SPECTRE_MODES:
         raise DomainError(f"unknown spectre mode {mode!r}")
-    view = _int_view(A)
-    member = frozenset(view.pts)
+    grid = Grid.of(A.ctx, A)
+    add, sub = grid.add, grid.sub
+    pts = [grid.to_int(p) for p in A]
+    member = frozenset(pts)
     if mode == "fast":
-        anchor = view.pts[0]
-        candidates = {view.sub(p, anchor) for p in view.pts}
-        candidates.update(view.sub(anchor, p) for p in view.pts)
-    elif view.moduli is not None:
-        candidates = {
-            tuple(r) for r in itertools.product(*(range(m) for m in view.moduli))
-        }
+        anchor = pts[0]
+        candidates = {sub(p, anchor) for p in pts}
+        candidates.update(sub(anchor, p) for p in pts)
+    elif grid.moduli is not None:
+        check_budget(A.ctx.order(), budget)
+        candidates = set(itertools.product(*(range(m) for m in grid.moduli)))
     else:
-        candidates = {view.sub(p, q) for p in view.pts for q in view.pts}
-        candidates.update(view.neg(c) for c in list(candidates))
+        candidates = {sub(p, q) for p in pts for q in pts}
+        candidates.update(grid.neg(c) for c in list(candidates))
     accepted = []
     for z in candidates:
         ok = True
-        for x in view.pts:
-            if view.add(x, z) not in member and view.sub(x, z) not in member:
+        for x in pts:
+            if add(x, z) not in member and sub(x, z) not in member:
                 ok = False
                 break
         if ok:
             accepted.append(z)
-    return finite_set(A.ctx, (view.unscale(z) for z in accepted))
+    return grid.to_set(accepted)
 
 
 def distance_set(A: FiniteSet, x: Optional[Point] = None) -> List[DistValue]:
     """Distances realized inside A, or from the point ``x`` to A.  Sorted,
     without repeats; includes zero whenever x (or any point) sees itself."""
-    view = _int_view(A)
-    d = _dist_int_fn(view)
     if x is None:
-        raws = {d(p, q) for p, q in itertools.combinations(view.pts, 2)}
+        grid = Grid.of(A.ctx, A)
+        pts = [grid.to_int(p) for p in A]
+        raws = {grid.dist(p, q) for p, q in itertools.combinations(pts, 2)}
         raws.add(0)
     else:
         x = validate_point(A.ctx, x)
-        if view.moduli is not None:
-            xi = tuple(int(c) for c in x)
-        else:
-            xi = tuple(c.numerator * (view.scale // c.denominator) for c in x)
-        raws = {d(xi, p) for p in view.pts}
-    return [_dist_value(view, r) for r in sorted(raws)]
+        grid = Grid.of(A.ctx, A, [x])
+        xi = grid.to_int(x)
+        raws = {grid.dist(xi, grid.to_int(p)) for p in A}
+    return [grid.dist_value(r) for r in sorted(raws)]
 
 
 def center_of_distances(A: FiniteSet) -> List[DistValue]:
     """C(A): distance values realized from every point of A.  Always contains
     zero; sorted ascending."""
-    view = _int_view(A)
-    d = _dist_int_fn(view)
+    grid = Grid.of(A.ctx, A)
+    d = grid.dist
+    pts = [grid.to_int(p) for p in A]
     common: Optional[set] = None
-    for p in view.pts:
-        seen = {d(p, q) for q in view.pts}
+    for p in pts:
+        seen = {d(p, q) for q in pts}
         common = seen if common is None else (common & seen)
         if len(common) == 1:
             # Zero is realized from every point, so once the intersection
             # shrinks to {0} no later point can change it.
             break
     assert common is not None
-    return [_dist_value(view, r) for r in sorted(common)]
+    return [grid.dist_value(r) for r in sorted(common)]
 
 
 # -- structural checkers ------------------------------------------------------
@@ -271,17 +201,18 @@ def is_net_set(A: FiniteSet) -> SetVerdict:
     spectre: S(A) = {0}."""
     if len(A) < 3:
         return SetVerdict(False, reason="a net-set needs at least three elements")
-    view = _int_view(A)
+    grid = Grid.of(A.ctx, A)
+    pts = [grid.to_int(p) for p in A]
     seen = {}
-    for i, j in itertools.combinations(range(len(view.pts)), 2):
-        diff = view.sub(view.pts[i], view.pts[j])
-        canon = max(diff, view.neg(diff))
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        diff = grid.sub(pts[i], pts[j])
+        canon = max(diff, grid.neg(diff))
         if canon in seen:
             a, b = seen[canon]
             witness = PairWitness(
                 pair_a=(A.elements[a], A.elements[b]),
                 pair_b=(A.elements[i], A.elements[j]),
-                shared_value=view.unscale(canon),
+                shared_value=grid.to_set([canon]).elements[0],
             )
             return SetVerdict(False, witness=witness,
                               reason="two pairs share a difference up to sign")
@@ -292,17 +223,17 @@ def is_net_set(A: FiniteSet) -> SetVerdict:
 def is_non_sliding(A: FiniteSet) -> SetVerdict:
     """A is non-sliding when every positive distance between its points is
     realized by exactly one unordered pair."""
-    view = _int_view(A)
-    d = _dist_int_fn(view)
+    grid = Grid.of(A.ctx, A)
+    pts = [grid.to_int(p) for p in A]
     seen = {}
-    for i, j in itertools.combinations(range(len(view.pts)), 2):
-        raw = d(view.pts[i], view.pts[j])
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        raw = grid.dist(pts[i], pts[j])
         if raw in seen:
             a, b = seen[raw]
             witness = PairWitness(
                 pair_a=(A.elements[a], A.elements[b]),
                 pair_b=(A.elements[i], A.elements[j]),
-                shared_value=_dist_value(view, raw),
+                shared_value=grid.dist_value(raw),
             )
             return SetVerdict(False, witness=witness,
                               reason="two pairs realize the same distance")
@@ -315,10 +246,10 @@ def min_positive_distance(A: FiniteSet) -> Optional[DistValue]:
     singleton."""
     if len(A) < 2:
         return None
-    view = _int_view(A)
-    d = _dist_int_fn(view)
-    best = min(d(p, q) for p, q in itertools.combinations(view.pts, 2))
-    return _dist_value(view, best)
+    grid = Grid.of(A.ctx, A)
+    pts = [grid.to_int(p) for p in A]
+    best = min(grid.dist(p, q) for p, q in itertools.combinations(pts, 2))
+    return grid.dist_value(best)
 
 
 # -- constructions ------------------------------------------------------------
@@ -329,8 +260,10 @@ def spectre_inflate(B: FiniteSet, x: Point) -> FiniteSet:
     x = validate_point(B.ctx, x)
     if x == zero(B.ctx):
         raise DomainError("the shift must be nonzero")
-    shifted = [group_add(B.ctx, b, x) for b in B]
-    return finite_set(B.ctx, list(B.elements) + shifted)
+    grid = Grid.of(B.ctx, B, [x])
+    pts = [grid.to_int(b) for b in B]
+    xi = grid.to_int(x)
+    return grid.to_set(pts + [grid.add(p, xi) for p in pts])
 
 
 def _perturbations(dim: int, eps: Rat) -> Iterator[Point]:

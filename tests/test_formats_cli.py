@@ -180,6 +180,20 @@ class TestCliCore:
         assert out["found"] is False
         assert out["scanned"] == 127
 
+    def test_refute_image_budget_on_a_huge_order(self, tmp_path, capsys):
+        target = finite_set(FiniteAbelian((20000,)), [point(0)])
+        code = run(["refute-image", "--target", write(tmp_path, "t.json", encode_set(target))])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "2^20000" in captured.err
+
+    def test_spectre_oracle_mode_honours_budget(self, tmp_path, capsys):
+        A = finite_set(FiniteAbelian((200000,)), [point(0), point(1)])
+        path = write(tmp_path, "a.json", encode_set(A))
+        assert run(["spectre", "--set", path, "--mode", "oracle", "--budget", "1000"]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestCliSeries:
     def test_enumerate(self, tmp_path, capsys):
@@ -297,6 +311,10 @@ class TestCliContract:
 
     def test_unknown_subcommand(self, capsys):
         assert run(["warp"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        assert run(["spectre", "--set", sym3_path(tmp_path), flag, "1"]) == 2
 
     def test_malformed_file(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", "{not json")

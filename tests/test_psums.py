@@ -18,6 +18,7 @@ from spectrekit import (
     psum_set,
     series_spec,
 )
+from spectrekit.errors import check_budget, check_budget_power
 from gen import rand_pspec
 from spectrekit.psums import demo_level_set
 
@@ -76,6 +77,27 @@ class TestPsumSet:
         spec = pspec(["0", "1", "2"], ["1"] * 10)
         with pytest.raises(BudgetExceededError):
             psum_set(spec, budget=100)
+
+    def test_budget_guard_on_a_huge_exponent(self):
+        # 3^10000 has more digits than Python will format in a message.
+        with pytest.raises(BudgetExceededError, match=r"3\^10000"):
+            psum_set(pspec(["0", "1", "2"], ["1"] * 10000))
+
+    def test_power_check_agrees_with_the_plain_check(self):
+        for base in range(1, 5):
+            for exponent in range(12):
+                for budget in range(-2, 130):
+                    try:
+                        check_budget(base ** exponent, budget)
+                        plain = True
+                    except BudgetExceededError:
+                        plain = False
+                    try:
+                        check_budget_power(base, exponent, budget)
+                        power = True
+                    except BudgetExceededError:
+                        power = False
+                    assert plain == power, (base, exponent, budget)
 
 
 class TestGapTranslation:

@@ -223,6 +223,12 @@ class TestCenterOfDistances:
         assert [d.value for d in distance_set(A, point("1/2"))] == [0, Fraction(1, 2)]
         geo = qset(0, "1/3", "1/9", 1)
         assert len([d for d in distance_set(geo) if d.value > 0]) == 6
+        # A query point off A's grid: 1/2 is not a multiple of A's scale 1.
+        assert [d.value for d in distance_set(qset(0, 1), point("1/2"))] == [Fraction(1, 2)]
+        plane = finite_set(RationalSpace(2, "euclidean-squared"), [point(0, 0), point(1, 2)])
+        values = distance_set(plane, point("1/2", "1/3"))
+        assert all(d.squared for d in values)
+        assert [d.value for d in values] == [Fraction(13, 36), Fraction(109, 36)]
 
     def test_zero_always_in_center(self):
         r = random.Random(210)
