@@ -75,9 +75,11 @@ def _scalar_values(T: FiniteSet) -> List[Rat]:
 
 def gap_translation_check(T: FiniteSet,
                           gap: Tuple[RatLike, RatLike]) -> GapTranslationResult:
-    """Evaluate the translation predicate of a gap (a, b) of T at every
+    """Decide the translation predicate of a gap (a, b) of T at every
     radius where its value can change, plus one radius below all of them,
-    and report the largest radius at which it holds.
+    and report the largest of these candidate radii at which it holds.
+    One pass finds the least radius at which it fails, so the cost is
+    O(n log n) rather than one rescan per candidate.
 
     The predicate at radius eps:  b + (T in [0, eps]) == T in [b, b + eps].
     T must contain 0 and (a, b) must be a gap: both endpoints in T with
@@ -97,13 +99,16 @@ def gap_translation_check(T: FiniteSet,
     candidates = sorted(breakpoints, reverse=True)
     candidates.append(min(breakpoints) / 2)
 
-    def holds(eps: Rat) -> bool:
-        left = {b + x for x in xs if 0 <= x <= eps}
-        right = {x for x in xs if b <= x <= b + eps}
-        return left == right
-
+    # The predicate holds at eps exactly when no defect lies in (0, eps]:
+    # a defect is a positive x in T with b + x not in T, or y - b for a
+    # y > b in T with y - b not in T.  So it holds on [0, least defect),
+    # and the first candidate below the least defect is the answer.
+    members = set(xs)
+    defects = [x for x in xs if x > 0 and b + x not in members]
+    defects.extend(y - b for y in xs if y > b and y - b not in members)
+    least = min(defects, default=None)
     for eps in candidates:
-        if holds(eps):
+        if least is None or eps < least:
             return GapTranslationResult(True, eps, tuple(candidates))
     return GapTranslationResult(False, None, tuple(candidates))
 

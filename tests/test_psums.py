@@ -11,8 +11,10 @@ import oracles
 from spectrekit import (
     BudgetExceededError,
     DomainError,
+    RationalSpace,
     achievement_set,
     cantor_pair_demo,
+    finite_set,
     gap_translation_check,
     pspec,
     psum_set,
@@ -159,6 +161,30 @@ class TestGapTranslation:
             alpha, beta, _ = r.choice(gaps)
             result = gap_translation_check(T, (alpha, beta))
             assert result.ok == oracles.dense_translation_exists(values, beta)
+
+    def test_matches_evaluation_at_every_breakpoint(self):
+        # Differential check of the least-defect shortcut against evaluating
+        # the predicate at each candidate radius in turn.
+        r = random.Random(605)
+        sets = [psum_set(rand_pspec(r, max_terms=4)) for _ in range(15)]
+        for _ in range(30):
+            size = r.randint(1, 12)
+            values = {Fraction(r.randint(1, 40), r.choice([1, 2, 3, 4]))
+                      for _ in range(size)}
+            sets.append(finite_set(RationalSpace(1),
+                                   [(v,) for v in values | {Fraction(0)}]))
+        for T in sets:
+            values = scalars(T)
+            for alpha, beta, _ in oracles.naive_gaps(values):
+                result = gap_translation_check(T, (alpha, beta))
+                assert list(result.candidates) == sorted(result.candidates,
+                                                         reverse=True)
+                expected = next(
+                    (eps for eps in result.candidates
+                     if oracles.translation_predicate(values, beta, eps)),
+                    None)
+                assert result.epsilon == expected
+                assert result.ok == (expected is not None)
 
 
 class TestCantorPairDemo:
