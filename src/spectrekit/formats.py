@@ -207,3 +207,5 @@ def load_path(path: str) -> Any:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} is nested too deeply") from None

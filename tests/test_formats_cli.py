@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
 from spectrekit import FiniteAbelian, RationalSpace, finite_set, point, pspec, series_spec
-from spectrekit.cli import run
+from spectrekit.cli import COMMANDS, run
 from spectrekit.errors import ParseError
 from spectrekit.formats import (
     decode_group,
@@ -317,8 +320,30 @@ class TestCliContract:
         assert run(["spectre", "--set", sym3_path(tmp_path), flag, "1"]) == 2
 
     def test_malformed_file(self, tmp_path, capsys):
-        path = write(tmp_path, "bad.json", "{not json")
-        assert run(["spectre", "--set", path]) == 2
+        for name, text in (("bad.json", "{not json"),
+                           ("deep.json", "[" * 100000 + "]" * 100000)):
+            path = write(tmp_path, name, text)
+            assert run(["spectre", "--set", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_internal_failure_exits_four(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("spectrekit.series.find_gaps", lambda E: [])
+        path = write(tmp_path, "s.json", encode_series(series_spec(["1", "1/4", "1/16"])))
+        assert run(["series", "first-gap", "--k", "1", "--series", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: predicted gap")
+
+    def test_readme_lists_every_command(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Subcommands", 1)[1].split("\n### ", 1)[0]
+        documented = []
+        for usage in re.findall(r"^\| `([^`]+)`", table, flags=re.MULTILINE):
+            words = takewhile(lambda t: not t.startswith(("-", "[")), usage.split())
+            documented.append(" ".join(words))
+        assert sorted(documented) == sorted(c.words for c in COMMANDS)
 
     def test_json_output_is_deterministic(self, tmp_path, capsys):
         path = sym3_path(tmp_path)
