@@ -197,6 +197,9 @@ def _load_set(path: str) -> FiniteSet:
 
 def _series(ns: argparse.Namespace, dim: int) -> SeriesSpec:
     s = decode_series(load_path(ns.series))
+    if s.dim not in (1, 2):
+        raise DomainError(f"series commands need one- or two-dimensional series, "
+                          f"got dimension {s.dim}")
     if s.dim != dim:
         raise DomainError("planar commands need two-dimensional series" if dim == 2
                           else "use the planar commands for two-dimensional series")
@@ -373,13 +376,9 @@ def _cmd_psum_translate(ns: argparse.Namespace) -> Result:
     T = psum_set(decode_pspec(load_path(ns.pspec)), budget=ns.budget)
     a, b = _parse_rat_list(ns.gap, 2, "--gap")
     result = gap_translation_check(T, (a, b))
-    epsilon = None if result.epsilon is None else format_rat(result.epsilon)
-    obj = {
-        "ok": result.ok,
-        "epsilon": epsilon,
-        "candidates": [format_rat(c) for c in result.candidates],
-    }
-    rows: Rows = [["ok", result.ok, epsilon or ""]]
+    epsilon = format_rat(result.epsilon)
+    obj = {"ok": result.ok, "epsilon": epsilon}
+    rows: Rows = [["ok", result.ok, epsilon]]
     return obj, rows, 0 if result.ok else 1
 
 

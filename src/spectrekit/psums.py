@@ -1,13 +1,13 @@
 """P-sum sets and translation structure around their gaps.
 
 A P-sum set collects the values sum of xi_n * a_n where each coefficient
-xi_n ranges over a fixed finite menu P containing 0.  For a gap (a, b) of
-such a set T, the translation predicate at radius eps asks whether shifting
-the initial segment T in [0, eps] by b reproduces T in [b, b + eps] exactly.
-As a function of eps the predicate is piecewise constant, changing only at
-positive elements of T and at distances from b to later elements, so finitely
-many evaluations decide it everywhere; the checker reports the largest
-radius that works, when one does.
+xi_n ranges over a fixed finite menu P containing 0; the achievement set is
+the case P = {0, 1}, and both come from the same grid enumerator.  For a gap
+(a, b) of such a set T, the translation predicate at radius eps asks whether
+shifting the initial segment T in [0, eps] by b reproduces T in [b, b + eps]
+exactly.  It holds exactly on [0, e*), where e* is the least defect of the
+gap, so the checker reports e*: the supremum of the working radii, not
+attained.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Iterable, List, Optional, Tuple
 from .errors import DomainError, check_budget_power
 from .groups import RationalSpace
 from .rational import Rat, RatLike, as_rat
+from .series import _subset_sums_cached
 from .sets import FiniteSet, finite_set
 
 _CTX_1D = RationalSpace(1)
@@ -51,20 +52,18 @@ def pspec(coeffs: Iterable[RatLike], terms: Iterable[RatLike]) -> PSpec:
 def psum_set(spec: PSpec, budget: Optional[int] = None) -> FiniteSet:
     """T = {sum of xi_n a_n : xi_n in P}, as a one-dimensional set."""
     check_budget_power(len(spec.coeffs), len(spec.terms), budget)
-    sums = {Fraction(0)}
-    for a in spec.terms:
-        sums = {s + xi * a for s in sums for xi in spec.coeffs}
-    return finite_set(_CTX_1D, ((v,) for v in sums))
+    return _subset_sums_cached(_CTX_1D, tuple((t,) for t in spec.terms),
+                               spec.coeffs[1:])
 
 
 @dataclass(frozen=True)
 class GapTranslationResult:
-    """Largest radius at which the gap-translation predicate holds, along
-    with every candidate radius that was evaluated (descending)."""
+    """The gap-translation predicate holds exactly for the radii in
+    [0, epsilon): ``epsilon`` is their supremum, not attained.  ``ok`` says
+    that this interval is nonempty, which every gap of a valid set satisfies."""
 
     ok: bool
-    epsilon: Optional[Rat]
-    candidates: Tuple[Rat, ...]
+    epsilon: Rat
 
 
 def _scalar_values(T: FiniteSet) -> List[Rat]:
@@ -75,15 +74,14 @@ def _scalar_values(T: FiniteSet) -> List[Rat]:
 
 def gap_translation_check(T: FiniteSet,
                           gap: Tuple[RatLike, RatLike]) -> GapTranslationResult:
-    """Decide the translation predicate of a gap (a, b) of T at every
-    radius where its value can change, plus one radius below all of them,
-    and report the largest of these candidate radii at which it holds.
-    One pass finds the least radius at which it fails, so the cost is
-    O(n log n) rather than one rescan per candidate.
+    """The least defect e* of a gap (a, b) of T, found in one hash-set pass.
 
     The predicate at radius eps:  b + (T in [0, eps]) == T in [b, b + eps].
-    T must contain 0 and (a, b) must be a gap: both endpoints in T with
-    nothing strictly between.
+    A defect is a positive x in T with b + x not in T, or y - b for a y > b
+    in T with y - b not in T.  The predicate holds at eps exactly when no
+    defect lies in (0, eps], so it holds on [0, e*) and fails from e* on.
+    max(T) is always a defect, so e* exists.  T must contain 0 and (a, b)
+    must be a gap: both endpoints in T with nothing strictly between.
     """
     xs = _scalar_values(T)
     if xs[0] != 0:
@@ -94,23 +92,11 @@ def gap_translation_check(T: FiniteSet,
     if any(a < x < b for x in xs):
         raise DomainError(f"({a}, {b}) is not a gap of the set")
 
-    breakpoints = {x for x in xs if x > 0}
-    breakpoints.update(x - b for x in xs if x > b)
-    candidates = sorted(breakpoints, reverse=True)
-    candidates.append(min(breakpoints) / 2)
-
-    # The predicate holds at eps exactly when no defect lies in (0, eps]:
-    # a defect is a positive x in T with b + x not in T, or y - b for a
-    # y > b in T with y - b not in T.  So it holds on [0, least defect),
-    # and the first candidate below the least defect is the answer.
     members = set(xs)
     defects = [x for x in xs if x > 0 and b + x not in members]
     defects.extend(y - b for y in xs if y > b and y - b not in members)
-    least = min(defects, default=None)
-    for eps in candidates:
-        if least is None or eps < least:
-            return GapTranslationResult(True, eps, tuple(candidates))
-    return GapTranslationResult(False, None, tuple(candidates))
+    least = min(defects)
+    return GapTranslationResult(least > 0, least)
 
 
 # -- the paired-Cantor demonstration ------------------------------------------
@@ -119,11 +105,12 @@ def gap_translation_check(T: FiniteSet,
 class DemoReport:
     """Per-level translation radii for the paired endpoint construction.
 
-    Each row is (level, radius) for the gap (1/4, 1/2) of the level's set.
-    The construction glues two self-similar endpoint families of different
-    contraction ratios, so the radii shrink as the level grows; at every
-    finite level the predicate still holds at some positive radius, while
-    the radii witness that no single radius survives all levels.
+    Each row is (level, radius) for the gap (1/4, 1/2) of the level's set;
+    the radius is the supremum of the radii at which the predicate holds,
+    not attained.  The construction glues two self-similar endpoint families
+    of different contraction ratios, so the radii shrink as the level grows;
+    at every finite level the predicate still holds below a positive radius,
+    while the radii witness that no single radius survives all levels.
     """
 
     rows: Tuple[Tuple[int, Rat], ...]
@@ -160,14 +147,12 @@ def cantor_pair_demo(levels: int) -> DemoReport:
         raise DomainError(f"levels must lie in [1, {_MAX_DEMO_LEVELS}]")
     rows: List[Tuple[int, Rat]] = []
     for m in range(levels + 1):
-        result = gap_translation_check(demo_level_set(m), _DEMO_GAP)
-        assert result.ok and result.epsilon is not None
-        rows.append((m, result.epsilon))
+        rows.append((m, gap_translation_check(demo_level_set(m), _DEMO_GAP).epsilon))
     decreasing = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
     return DemoReport(
         rows=tuple(rows),
         strictly_decreasing=decreasing,
-        note=("finite levels only: each row reports the largest radius at "
-              "which the gap-translation predicate holds for that level's "
-              "finite endpoint set"),
+        note=("finite levels only: each row reports the supremum, not "
+              "attained, of the radii at which the gap-translation predicate "
+              "holds for that level's finite endpoint set"),
     )

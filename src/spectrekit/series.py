@@ -91,16 +91,21 @@ def _subset_sums(ctx: RationalSpace, terms: Sequence[Point],
 
 
 @lru_cache(maxsize=128)
-def _subset_sums_cached(ctx: RationalSpace, terms: Tuple[Point, ...]) -> FiniteSet:
+def _subset_sums_cached(ctx: RationalSpace, terms: Tuple[Point, ...],
+                        menu: Tuple[Rat, ...] = (1,)) -> FiniteSet:
+    """All sums of c_n * t_n over the terms with each c_n either 0 or taken
+    from ``menu``: the subset sums for the menu (1,), the P-sums for the
+    nonzero coefficients of P.  The menu is part of the cache key."""
     # The budget check stays in the caller so a tight budget still raises
     # even when the enumeration happens to be cached.  FiniteSet is frozen,
     # so sharing one instance across callers is safe.
-    grid = Grid.of(ctx, terms)
+    steps = [[tuple(c * x for x in t) for c in menu] for t in terms]
+    grid = Grid.of(ctx, *steps)
     add = grid.add
     sums = {grid.to_int(zero(ctx))}
-    for t in terms:
-        ti = grid.to_int(t)
-        sums |= {add(s, ti) for s in sums}
+    for row in steps:
+        ints = [grid.to_int(p) for p in row]
+        sums |= {add(s, d) for d in ints for s in sums}
     return grid.to_set(sums)
 
 

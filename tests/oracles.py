@@ -202,6 +202,30 @@ def translation_predicate(T: Iterable[Fraction], b: Fraction,
     return {b + t for t in left} == right
 
 
+def translation_supremum(T: Iterable[Fraction], b: Fraction):
+    """The least radius at which the translation predicate fails, or None.
+
+    The predicate only changes value at a breakpoint (a positive element of
+    T, or y - b for an element y > b), so evaluating it at every breakpoint
+    and at every midpoint between consecutive ones, in ascending order,
+    finds the first failure; the scan goes on to check that the predicate
+    never holds again after it.
+    """
+    ts = sorted(set(T))
+    points = sorted({t for t in ts if t > 0} | {y - b for y in ts if y > b})
+    radii = []
+    for lo, hi in zip([ZERO] + points, points):
+        radii += [(lo + hi) / 2, hi]
+    failed = None
+    for eps in radii:
+        holds = translation_predicate(ts, b, eps)
+        assert not (holds and failed is not None), \
+            f"predicate fails at {failed} but holds again at {eps}"
+        if not holds and failed is None:
+            failed = eps
+    return failed
+
+
 def dense_translation_exists(T: Iterable[Fraction], b: Fraction) -> bool:
     """Decide the translation property by genuinely dense epsilon sampling.
 

@@ -349,9 +349,9 @@ def test_c12_gap_translation():
     radii = [eps for _, eps in demo.rows]
     if not demo.strictly_decreasing:
         failures.append("demo radii are not strictly decreasing")
-    if radii != [Fraction(1, 4), Fraction(1, 32), Fraction(1, 128),
-                 Fraction(1, 512), Fraction(1, 2048), Fraction(1, 8192),
-                 Fraction(1, 32768)]:
+    if radii != [Fraction(1, 2), Fraction(1, 16), Fraction(1, 64),
+                 Fraction(1, 256), Fraction(1, 1024), Fraction(1, 4096),
+                 Fraction(1, 16384)]:
         failures.append(f"demo radii are {radii}")
 
     for i in range(20):

@@ -241,6 +241,15 @@ class TestCliSeries:
         path = write(tmp_path, "s.json", encode_series(series_spec(["1"] * 12)))
         assert run(["series", "enumerate", "--series", path, "--budget", "100"]) == 3
 
+    @pytest.mark.parametrize("group", ["series", "planar"])
+    def test_three_dimensional_series_is_rejected_by_dimension(self, tmp_path,
+                                                              capsys, group):
+        path = write(tmp_path, "s.json", '{"terms": [["1", "0", "0"]], "dim": 3}')
+        assert run([group, "enumerate", "--series", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "got dimension 3" in captured.err
+
 
 class TestCliPlanar:
     def test_example_check(self, capsys):
@@ -294,18 +303,23 @@ class TestCliPsum:
         code = run(["psum", "gap-translate", "--gap", "1/4,1/2", "--pspec", path])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert out["ok"] is True and out["epsilon"] == "1/4"
+        assert out == {"ok": True, "epsilon": "1/2"}
 
     def test_gap_translate_rejects_non_gaps(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", encode_pspec(pspec(["0", "1"], ["1/2", "1/4"])))
         assert run(["psum", "gap-translate", "--gap", "1/8,1/4", "--pspec", path]) == 2
+
+    def test_negative_gap_value_needs_the_equals_form(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", encode_pspec(pspec(["0", "1"], ["1/2", "1/4"])))
+        assert run(["psum", "gap-translate", "--gap=-1,0", "--pspec", path]) == 2
+        assert "is not a gap of the set" in capsys.readouterr().err
 
     def test_cantor_demo(self, capsys):
         assert run(["psum", "cantor-demo", "--levels", "4"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["strictly_decreasing"] is True
         assert [row["epsilon"] for row in out["rows"]] == \
-            ["1/4", "1/32", "1/128", "1/512", "1/2048"]
+            ["1/2", "1/16", "1/64", "1/256", "1/1024"]
 
 
 class TestCliContract:

@@ -29,6 +29,13 @@ def scalars(A) -> list:
     return [p[0] for p in A.elements]
 
 
+def assert_supremum(values, b, eps):
+    """The translation predicate holds just below eps and fails at eps."""
+    for radius in (eps / 2, eps * Fraction(1023, 1024)):
+        assert oracles.translation_predicate(values, b, radius)
+    assert not oracles.translation_predicate(values, b, eps)
+
+
 class TestPSpec:
     def test_normalizes_and_sorts(self):
         spec = pspec(["1", "0", "1"], ["1/2", "1/4"])
@@ -75,6 +82,15 @@ class TestPsumSet:
             spec = pspec(["0", "1"], terms)
             assert psum_set(spec) == achievement_set(series_spec(terms))
 
+    def test_menu_is_part_of_the_cache_key(self):
+        # Both calls go through one cached enumerator on the same terms; a
+        # key without the coefficient menu would hand back the first result.
+        terms = [Fraction(1, 3), Fraction(1, 9), Fraction(1, 2)]
+        E = achievement_set(series_spec(terms))
+        T = psum_set(pspec(["0", "1", "2"], terms))
+        assert E.elements == tuple(oracles.naive_subset_sums([(t,) for t in terms]))
+        assert scalars(T) == oracles.naive_psum([0, 1, 2], terms)
+
     def test_budget_guard(self):
         spec = pspec(["0", "1", "2"], ["1"] * 10)
         with pytest.raises(BudgetExceededError):
@@ -107,15 +123,14 @@ class TestGapTranslation:
         T = psum_set(pspec(["0", "1"], ["1/2", "1/4"]))
         result = gap_translation_check(T, (Fraction(1, 4), Fraction(1, 2)))
         assert result.ok
-        assert result.epsilon == Fraction(1, 4)
+        assert result.epsilon == Fraction(1, 2)
 
     def test_two_point_set_has_a_small_witness(self):
         T = psum_set(pspec(["0", "1"], ["1"]))
         result = gap_translation_check(T, (0, 1))
         assert result.ok
-        assert result.epsilon == Fraction(1, 2)
-        assert oracles.translation_predicate([p for p in scalars(T)],
-                                             Fraction(1), result.epsilon)
+        assert result.epsilon == 1
+        assert_supremum(scalars(T), Fraction(1), result.epsilon)
 
     def test_eighth_grid_every_gap(self):
         T = psum_set(pspec(["0", "1"], ["1/2", "1/4", "1/8"]))
@@ -132,7 +147,7 @@ class TestGapTranslation:
             for alpha, beta, _ in oracles.naive_gaps(values):
                 result = gap_translation_check(T, (alpha, beta))
                 assert result.ok
-                assert oracles.translation_predicate(values, beta, result.epsilon)
+                assert_supremum(values, beta, result.epsilon)
 
     def test_rejects_intervals_that_are_not_gaps(self):
         T = psum_set(pspec(["0", "1"], ["1/2", "1/4"]))
@@ -162,9 +177,9 @@ class TestGapTranslation:
             result = gap_translation_check(T, (alpha, beta))
             assert result.ok == oracles.dense_translation_exists(values, beta)
 
-    def test_matches_evaluation_at_every_breakpoint(self):
-        # Differential check of the least-defect shortcut against evaluating
-        # the predicate at each candidate radius in turn.
+    def test_matches_the_supremum_oracle(self):
+        # Differential check of the least defect against evaluating the
+        # predicate at every breakpoint and midpoint in ascending order.
         r = random.Random(605)
         sets = [psum_set(rand_pspec(r, max_terms=4)) for _ in range(15)]
         for _ in range(30):
@@ -177,14 +192,8 @@ class TestGapTranslation:
             values = scalars(T)
             for alpha, beta, _ in oracles.naive_gaps(values):
                 result = gap_translation_check(T, (alpha, beta))
-                assert list(result.candidates) == sorted(result.candidates,
-                                                         reverse=True)
-                expected = next(
-                    (eps for eps in result.candidates
-                     if oracles.translation_predicate(values, beta, eps)),
-                    None)
-                assert result.epsilon == expected
-                assert result.ok == (expected is not None)
+                assert result.ok
+                assert result.epsilon == oracles.translation_supremum(values, beta)
 
 
 class TestCantorPairDemo:
@@ -208,15 +217,14 @@ class TestCantorPairDemo:
     def test_frozen_radii(self):
         report = cantor_pair_demo(6)
         assert [eps for _, eps in report.rows] == [
-            Fraction(1, 4), Fraction(1, 32), Fraction(1, 128),
-            Fraction(1, 512), Fraction(1, 2048), Fraction(1, 8192),
-            Fraction(1, 32768)]
+            Fraction(1, 2), Fraction(1, 16), Fraction(1, 64),
+            Fraction(1, 256), Fraction(1, 1024), Fraction(1, 4096),
+            Fraction(1, 16384)]
 
     def test_each_radius_is_a_genuine_witness(self):
         report = cantor_pair_demo(4)
         for level, eps in report.rows:
-            values = scalars(demo_level_set(level))
-            assert oracles.translation_predicate(values, Fraction(1, 2), eps)
+            assert_supremum(scalars(demo_level_set(level)), Fraction(1, 2), eps)
 
     def test_level_bounds(self):
         with pytest.raises(DomainError):
