@@ -26,7 +26,7 @@ from .groups import (
     require_same_ctx,
 )
 from .rational import Rat
-from .sets import FiniteSet, finite_set, min_positive_distance, spectre
+from .sets import FiniteSet, finite_set, min_positive_distance, spectre, spectre_ints
 
 
 def _directed(grid: Grid, ps: List[IntPoint], qs: List[IntPoint]) -> int:
@@ -182,21 +182,12 @@ def refute_spectre_image(ctx: FiniteAbelian, target: FiniteSet,
     order = ctx.order()
     check_budget_power(2, order, budget)
     grid = Grid.of(ctx)
-    add, sub = grid.add, grid.sub
     elems = [grid.to_int(p) for p in ctx.elements()]
     target_ints = frozenset(grid.to_int(p) for p in target)
     scanned = 0
     for mask in range(1, 1 << order):
         pts = [elems[i] for i in range(order) if mask >> i & 1]
         scanned += 1
-        member = frozenset(pts)
-        anchor = pts[0]
-        cands = {sub(p, anchor) for p in pts}
-        cands.update(sub(anchor, p) for p in pts)
-        spec = set()
-        for z in cands:
-            if all(add(x, z) in member or sub(x, z) in member for x in pts):
-                spec.add(z)
-        if spec == target_ints:
+        if set(spectre_ints(grid, pts)) == target_ints:
             return RefuteResult(True, grid.to_set(pts), scanned)
     return RefuteResult(False, None, scanned)

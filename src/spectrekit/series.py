@@ -20,7 +20,7 @@ from .errors import DomainError, SpectreKitError, check_budget_power
 from .groups import SUP, Grid, RationalSpace, zero
 from .rational import Point, Rat, RatLike, as_rat, format_rat, point
 from .reports import CheckItem, LemmaReport, report
-from .sets import FiniteSet, center_of_distances, spectre
+from .sets import FiniteSet, spectre
 
 TermLike = Union[RatLike, Sequence[RatLike]]
 
@@ -269,7 +269,8 @@ def series_spectre_checks(s: SeriesSpec,
                 multiple in SE))
 
     if s.dim == 1:
-        center = {d.value for d in center_of_distances(E)}
+        # In one dimension C(E) is the nonnegative part of S(E).
+        center = {abs(z[0]) for z in SE}
         for t in sorted({abs(t[0]) for t in s.terms}):
             items.append(CheckItem(
                 f"|term| {format_rat(t)} in C(E)", t in center))

@@ -25,10 +25,8 @@ from .groups import (
     DistValue,
     Grid,
     GroupCtx,
+    IntPoint,
     RationalSpace,
-    group_add,
-    group_neg,
-    group_sub,
     require_same_ctx,
     validate_point,
     zero,
@@ -106,36 +104,44 @@ def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> F
     The fast mode tests only candidates from (A - a) and (a - A) for a single
     anchor a, which is complete: any admissible z must move the anchor into A
     in one of the two directions.  The oracle mode rescans the full pairwise
-    difference set (or the whole group, when it is finite, which must fit in
-    ``budget``) and exists so the two routes can be checked against each
+    difference set, or the whole group when it is finite; either must fit in
+    ``budget``.  It exists so the two routes can be checked against each
     other.
     """
     if mode not in SPECTRE_MODES:
         raise DomainError(f"unknown spectre mode {mode!r}")
     grid = Grid.of(A.ctx, A)
-    add, sub = grid.add, grid.sub
     pts = [grid.to_int(p) for p in A]
+    candidates = None
+    if mode == "oracle" and grid.moduli is not None:
+        check_budget(A.ctx.order(), budget)
+        candidates = itertools.product(*(range(m) for m in grid.moduli))
+    elif mode == "oracle":
+        check_budget(len(pts) ** 2, budget)
+        candidates = {grid.sub(p, q) for p in pts for q in pts}
+        candidates.update(grid.neg(c) for c in list(candidates))
+    return grid.to_set(spectre_ints(grid, pts, candidates))
+
+
+def spectre_ints(grid: Grid, pts: Sequence[IntPoint],
+                 candidates: Optional[Iterable[IntPoint]] = None) -> List[IntPoint]:
+    """The spectre of the grid points ``pts``: every z of ``candidates`` with
+    x+z or x-z in pts for each x in pts.  The default candidates are
+    (pts - a) and (a - pts) for the anchor a = pts[0], which is complete."""
+    add, sub = grid.add, grid.sub
     member = frozenset(pts)
-    if mode == "fast":
+    if candidates is None:
         anchor = pts[0]
         candidates = {sub(p, anchor) for p in pts}
         candidates.update(sub(anchor, p) for p in pts)
-    elif grid.moduli is not None:
-        check_budget(A.ctx.order(), budget)
-        candidates = set(itertools.product(*(range(m) for m in grid.moduli)))
-    else:
-        candidates = {sub(p, q) for p in pts for q in pts}
-        candidates.update(grid.neg(c) for c in list(candidates))
     accepted = []
     for z in candidates:
-        ok = True
         for x in pts:
             if add(x, z) not in member and sub(x, z) not in member:
-                ok = False
                 break
-        if ok:
+        else:
             accepted.append(z)
-    return grid.to_set(accepted)
+    return accepted
 
 
 def distance_set(A: FiniteSet, x: Optional[Point] = None) -> List[DistValue]:
@@ -299,9 +305,12 @@ def _scan(candidates: Iterator[Point], accept: Callable[[Point], bool]) -> Point
 def densify_to_netset(B: FiniteSet, eps: Rat) -> FiniteSet:
     """A net-set within Hausdorff distance eps of B, in a rational space.
 
-    Singletons grow to three points clustered within eps; pairs gain one
-    nearby third point; larger sets keep each original point or nudge it by
-    a vector of norm below eps, greedily keeping the partial set a net-set.
+    One greedy rule builds it.  A candidate is kept when it is not kept
+    already, its differences to the kept points are distinct up to sign, and
+    none of them is, up to sign, a difference of two kept points.  Each point
+    b of B, in order, is kept if it passes, and otherwise the first passing
+    b + v for v in ``_perturbations`` (norm below eps); then, while fewer
+    than three points are kept, the first passing first + v is added.
     """
     if not isinstance(B.ctx, RationalSpace):
         raise DomainError("densification needs a rational-space context")
@@ -309,52 +318,37 @@ def densify_to_netset(B: FiniteSet, eps: Rat) -> FiniteSet:
     if eps <= 0:
         raise DomainError("eps must be positive")
     ctx = B.ctx
-    dim = ctx.dim
+    kept: List[Point] = []
+    members = set()
+    index = set()  # differences of kept points, the larger of d and -d
 
-    def is_net(points: Sequence[Point]) -> bool:
-        return bool(is_net_set(finite_set(ctx, points)))
+    def differences(c: Point) -> Iterator[Point]:
+        for k in kept:
+            d = tuple(a - b for a, b in zip(c, k))
+            yield max(d, tuple(-a for a in d))
 
-    if len(B) == 1:
-        b = B.elements[0]
-        cands = _perturbations(dim, eps)
-        x = next(cands)
-        banned = {x, tuple(2 * c for c in x), tuple(-c for c in x),
-                  tuple(-2 * c for c in x)}
-        y = _scan(cands, lambda v: v not in banned
-                  and is_net([b, group_add(ctx, b, x), group_add(ctx, b, v)]))
-        return finite_set(ctx, [b, group_add(ctx, b, x), group_add(ctx, b, y)])
-
-    if len(B) == 2:
-        b1, b2 = B.elements
-        diff = group_sub(ctx, b2, b1)
-        neg_diff = group_neg(ctx, diff)
-
-        def accept(x: Point) -> bool:
-            # Cheap exclusions first: x must not reproduce b2 or land on a
-            # midpoint/reflection that collapses a difference class; the net
-            # check below is the authoritative guard.
-            if x in (diff, neg_diff):
+    def passes(c: Point) -> bool:
+        if c in members:
+            return False
+        new = set()
+        for d in differences(c):
+            if d in new or d in index:
                 return False
-            double = tuple(2 * c for c in x)
-            if group_add(ctx, b1, double) == b2 or group_sub(ctx, b1, double) == b2:
-                return False
-            c = group_add(ctx, b1, x)
-            if c == b1 or c == b2:
-                return False
-            return is_net([b1, b2, c])
+            new.add(d)
+        return True
 
-        x = _scan(_perturbations(dim, eps), accept)
-        return finite_set(ctx, [b1, b2, group_add(ctx, b1, x)])
+    def near(p: Point) -> Iterator[Point]:
+        yield p
+        for v in _perturbations(ctx.dim, eps):
+            yield tuple(a + b for a, b in zip(p, v))
 
-    built: List[Point] = list(B.elements[:2])
-    for b in B.elements[2:]:
-        if b not in built and is_net(built + [b]):
-            built.append(b)
-            continue
-        x = _scan(
-            _perturbations(dim, eps),
-            lambda v: group_add(ctx, b, v) not in built
-            and is_net(built + [group_add(ctx, b, v)]),
-        )
-        built.append(group_add(ctx, b, x))
-    return finite_set(ctx, built)
+    def keep(c: Point) -> None:
+        index.update(differences(c))
+        kept.append(c)
+        members.add(c)
+
+    for b in B:
+        keep(_scan(near(b), passes))
+    while len(kept) < 3:
+        keep(_scan(near(kept[0]), passes))
+    return finite_set(ctx, kept)

@@ -127,6 +127,45 @@ def naive_is_net(points: Sequence[Pt]) -> bool:
     return True
 
 
+def naive_netset_greedy(points: Iterable[Pt], eps: Fraction) -> List[Pt]:
+    """The greedy net-set rule, deciding each candidate with naive_is_net.
+
+    A candidate c joins the kept points K when c is not in K and K + [c] is
+    a net-set (any new point passes while K has fewer than two points).
+    Each input point p, in sorted order, is tried first as p itself and then
+    as p + v for the nonzero vectors v below: eps/2^j along one axis plus
+    eps/2^k along another, by increasing j + k, with sup norm below eps.
+    While fewer than three points are kept, the first kept point is
+    perturbed the same way.
+    """
+    pts = sorted(set(points))
+    dim = len(pts[0])
+
+    def candidates(p: Pt):
+        yield p
+        for total in itertools.count(2):
+            for j in range(1, total):
+                for i in range(dim):
+                    for m in range(dim):
+                        v = [ZERO] * dim
+                        v[i] += eps / 2 ** j
+                        v[m] += eps / 2 ** (total - j)
+                        if max(v) < eps:
+                            yield q_add(p, tuple(v))
+
+    kept: List[Pt] = []
+
+    def first_passing(p: Pt) -> Pt:
+        return next(c for c in candidates(p) if c not in kept
+                    and (len(kept) < 2 or naive_is_net(kept + [c])))
+
+    for p in pts:
+        kept.append(first_passing(p))
+    while len(kept) < 3:
+        kept.append(first_passing(kept[0]))
+    return sorted(kept)
+
+
 def naive_is_non_sliding(points: Sequence[Pt],
                          dist_fn: Callable[[Pt, Pt], Fraction]) -> bool:
     """Each positive distance must come from exactly one unordered pair."""
@@ -243,3 +282,22 @@ def dense_translation_exists(T: Iterable[Fraction], b: Fraction) -> bool:
             return True
         eps += step
     return False
+
+
+def dense_translation_supremum(T: Iterable[Fraction], b: Fraction):
+    """The first radius at which the translation predicate fails, by the
+    same dense sampling as ``dense_translation_exists``, or None.
+
+    Breakpoints lie on the 1/L grid, so when the predicate holds on [0, e)
+    and fails at e, the first failing sample is e itself.
+    """
+    ts = sorted(set(T))
+    L = lcm(*(t.denominator for t in ts), b.denominator)
+    step = Fraction(1, 4 * L)
+    top = max(ts) + 1
+    eps = step
+    while eps <= top:
+        if not translation_predicate(ts, b, eps):
+            return eps
+        eps += step
+    return None

@@ -53,7 +53,7 @@ from gen import (
     rand_series,
     rand_unit_qset,
 )
-from oracles import dense_translation_exists
+from oracles import dense_translation_supremum, translation_predicate
 
 Q1 = RationalSpace(1)
 Q2 = RationalSpace(2)
@@ -339,7 +339,7 @@ def test_c12_gap_translation():
         for gap in find_gaps(T):
             gaps_seen += 1
             result = gap_translation_check(T, (gap.alpha, gap.beta))
-            if not result.ok or result.epsilon is None or result.epsilon <= 0:
+            if not result.ok or result.epsilon <= 0:
                 failures.append(f"instance {i}: gap ({gap.alpha}, {gap.beta}) "
                                 "has no translation radius")
     if gaps_seen == 0:
@@ -358,13 +358,19 @@ def test_c12_gap_translation():
         T = psum_set(rand_pspec(r))
         values = [p[0] for p in T.elements]
         for gap in find_gaps(T):
-            result = gap_translation_check(T, (gap.alpha, gap.beta))
-            if result.ok != dense_translation_exists(values, gap.beta):
-                failures.append(f"oracle instance {i}: breakpoint evaluation "
-                                "disagrees with dense sampling")
+            eps = gap_translation_check(T, (gap.alpha, gap.beta)).epsilon
+            if len(values) <= 30:
+                if eps != dense_translation_supremum(values, gap.beta):
+                    failures.append(f"oracle instance {i}: radius {eps} is not "
+                                    "the first failure of dense sampling")
+            elif (not translation_predicate(values, gap.beta, eps * Fraction(1023, 1024))
+                  or translation_predicate(values, gap.beta, eps)):
+                failures.append(f"oracle instance {i}: the predicate does not "
+                                f"hold just below {eps} and fail at it")
     _verdict(12, "translation radii exist for all gaps of 100 random P-sum "
-                 "sets; demo radii strictly decrease; breakpoint evaluation "
-                 "matches dense sampling", failures)
+                 "sets; demo radii strictly decrease; each radius is the first "
+                 "failure of dense sampling (at most 30 points) or the "
+                 "predicate holds just below it and fails at it", failures)
 
 
 def test_c13_non_sliding_fixtures():

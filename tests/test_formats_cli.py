@@ -197,6 +197,15 @@ class TestCliCore:
         assert run(["spectre", "--set", path, "--mode", "oracle", "--budget", "1000"]) == 3
         assert capsys.readouterr().out == ""
 
+    def test_spectre_oracle_budget_counts_differences(self, tmp_path, capsys):
+        # 1100^2 pairwise differences exceed the default budget of 2^20.
+        A = finite_set(Q1, [point(k) for k in range(1100)])
+        path = write(tmp_path, "a.json", encode_set(A))
+        assert run(["spectre", "--set", path, "--mode", "oracle"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1210000" in captured.err
+
 
 class TestCliSeries:
     def test_enumerate(self, tmp_path, capsys):

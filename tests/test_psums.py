@@ -175,7 +175,8 @@ class TestGapTranslation:
             checked += 1
             alpha, beta, _ = r.choice(gaps)
             result = gap_translation_check(T, (alpha, beta))
-            assert result.ok == oracles.dense_translation_exists(values, beta)
+            assert result.ok
+            assert result.epsilon == oracles.dense_translation_supremum(values, beta)
 
     def test_matches_the_supremum_oracle(self):
         # Differential check of the least defect against evaluating the

@@ -230,6 +230,25 @@ class TestCenterOfDistances:
         assert all(d.squared for d in values)
         assert [d.value for d in values] == [Fraction(13, 36), Fraction(109, 36)]
 
+    @pytest.mark.parametrize("metric, size", [
+        ("sup", abs), ("taxicab", abs), ("euclidean-squared", lambda t: t * t)])
+    def test_one_dimensional_center_is_read_off_the_spectre(self, metric, size):
+        # On a line, z is in S(A) exactly when every x in A has a partner at
+        # difference +-z, which is when the distance of z is in C(A).
+        r = random.Random(211)
+        for _ in range(100):
+            A = rand_qset(r, dim=1, size=r.randint(1, 10), metric=metric)
+            got = [d.value for d in center_of_distances(A)]
+            assert got == sorted({size(z[0]) for z in spectre(A)})
+
+    def test_torus_center_is_read_off_the_spectre(self):
+        r = random.Random(212)
+        for _ in range(100):
+            m = r.randint(2, 24)
+            A = rand_finab_set(r, FiniteAbelian((m,)))
+            got = [d.value for d in center_of_distances(A)]
+            assert got == sorted({min(z[0], m - z[0]) for z in spectre(A)})
+
     def test_zero_always_in_center(self):
         r = random.Random(210)
         for _ in range(50):
@@ -385,6 +404,30 @@ class TestDensify:
         first = densify_to_netset(B, Fraction(1, 16))
         second = densify_to_netset(B, Fraction(1, 16))
         assert first == second
+
+    def test_pinned_outputs(self):
+        square = finite_set(Q2, [point(0, 0), point(1, 0), point(0, 1), point(1, 1)])
+        cases = [
+            (qset(0), Fraction(1, 16), [point(0), point("5/128"), point("3/64")]),
+            (finite_set(Q2, [point(0, 0)]), Fraction(1, 16),
+             [point(0, 0), point("1/32", "1/32"), point("3/64", 0)]),
+            (qset(0, 1), Fraction(1, 16), [point(0), point("3/64"), point(1)]),
+            (qset(0, 1, 2, 3), Fraction(1, 16),
+             [point(0), point(1), point("131/64"), point(3)]),
+            (square, Fraction(1, 8),
+             [point(0, 0), point(0, 1), point(1, 0), point("17/16", "17/16")]),
+        ]
+        for B, eps, want in cases:
+            assert list(densify_to_netset(B, eps).elements) == want
+
+    def test_matches_the_naive_greedy_rule(self):
+        r = random.Random(217)
+        for _ in range(300):
+            A = rand_qset(r, dim=r.randint(1, 3), size=r.randint(1, 8),
+                          max_den=r.choice((1, 4, 16)))
+            eps = r.choice((Fraction(1, 16), Fraction(1, 4), Fraction(1)))
+            want = oracles.naive_netset_greedy(A.elements, eps)
+            assert list(densify_to_netset(A, eps).elements) == want
 
     def test_random_inputs_satisfy_all_three_properties(self):
         r = random.Random(216)
