@@ -130,7 +130,8 @@ def _verdict_result(v: SetVerdict) -> Result:
 
 
 def _set_result(A: FiniteSet) -> Result:
-    return encode_set(A), [_point_strs(p) for p in A.elements], 0
+    obj = encode_set(A)
+    return obj, obj["points"], 0
 
 
 def _report_result(r: LemmaReport) -> Result:
@@ -277,17 +278,10 @@ def _cmd_refute_image(ns: argparse.Namespace) -> Result:
     else:
         ctx = target.ctx
     result = refute_spectre_image(ctx, target, budget=ns.budget)
-    obj: Dict[str, Any] = {
-        "found": result.found,
-        "scanned": result.scanned,
-        "witness": None if result.witness is None
-        else [_point_strs(p) for p in result.witness.elements],
-    }
-    rows: Rows = [["found", result.found, result.scanned]]
-    if result.witness is not None:
-        rows.extend(["witness-point"] + _point_strs(p)
-                    for p in result.witness.elements)
-    return obj, rows, 0
+    witness = None if result.witness is None else encode_set(result.witness)["points"]
+    obj = {"found": result.found, "scanned": result.scanned, "witness": witness}
+    rows = [["found", result.found, result.scanned]]
+    return obj, rows + [["witness-point"] + p for p in witness or ()], 0
 
 
 def _cmd_series_enumerate(ns: argparse.Namespace) -> Result:
@@ -359,7 +353,7 @@ def _cmd_planar_example(ns: argparse.Namespace) -> Result:
         "set": encode_set(E),
         "largest_rect_gaps": [_rect_gap_obj(g) for g in largest],
     }
-    rows: Rows = [_point_strs(p) for p in E.elements]
+    rows: Rows = list(obj["set"]["points"])
     code = 0
     if ns.check:
         obj["report"], report_rows, code = _report_result(
@@ -378,8 +372,7 @@ def _cmd_psum_translate(ns: argparse.Namespace) -> Result:
     result = gap_translation_check(T, (a, b))
     epsilon = format_rat(result.epsilon)
     obj = {"ok": result.ok, "epsilon": epsilon}
-    rows: Rows = [["ok", result.ok, epsilon]]
-    return obj, rows, 0 if result.ok else 1
+    return obj, [["ok", result.ok, epsilon]], 0
 
 
 def _cmd_psum_demo(ns: argparse.Namespace) -> Result:

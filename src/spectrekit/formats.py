@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Mapping, Sequence
 from .errors import DomainError, ParseError
 from .groups import METRICS, SUP, FiniteAbelian, GroupCtx, RationalSpace
 from .psums import PSpec, pspec
-from .rational import Point, Rat, format_rat, parse_rat
+from .rational import Point, Rat, format_rat, format_scaled, parse_rat
 from .series import SeriesSpec, series_spec
 from .sets import FiniteSet, finite_set
 
@@ -118,10 +118,9 @@ def _decode_point_list(raw: Any, ctx: GroupCtx, where: str) -> List[Point]:
 
 
 def encode_set(A: FiniteSet) -> Dict[str, Any]:
-    return {
-        "group": encode_group(A.ctx),
-        "points": [[format_rat(c) for c in p] for p in A.elements],
-    }
+    s = A.scale
+    return {"group": encode_group(A.ctx),
+            "points": [[format_scaled(c, s) for c in p] for p in A.ints]}
 
 
 def decode_set(obj: Any) -> FiniteSet:

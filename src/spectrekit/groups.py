@@ -13,16 +13,21 @@ tags the result; tagged and untagged values refuse to be ordered against each
 other, which keeps comparisons honest without ever leaving the rationals.
 
 ``Grid`` encodes the points of one context as integer tuples and carries the
-group law and the metric over to them.  Every set-level kernel computes on a
-grid and leaves it through ``Grid.to_set``.
+group law and the metric over to them.  A ``FiniteSet`` is stored on a grid,
+so set-level kernels read and return integer points; ``Fraction`` points are
+built only when a caller asks for them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Tuple, Union
+from functools import cached_property
+from numbers import Rational
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .errors import DomainError, GroupMismatchError
 from .rational import Point, Rat
@@ -73,10 +78,7 @@ class FiniteAbelian:
 
     def elements(self) -> List[Point]:
         """All group elements as residue tuples, in lexicographic order."""
-        out: List[Point] = [()]
-        for m in self.moduli:
-            out = [p + (Fraction(r),) for p in out for r in range(m)]
-        return out
+        return [tuple(map(Fraction, p)) for p in itertools.product(*map(range, self.moduli))]
 
 
 GroupCtx = Union[RationalSpace, FiniteAbelian]
@@ -118,12 +120,8 @@ class DistValue:
         return self.value == 0
 
 
-def ctx_dim(ctx: GroupCtx) -> int:
-    return ctx.dim
-
-
 def zero(ctx: GroupCtx) -> Point:
-    return (_ZERO,) * ctx_dim(ctx)
+    return (_ZERO,) * ctx.dim
 
 
 def require_same_ctx(a: GroupCtx, b: GroupCtx) -> None:
@@ -137,8 +135,8 @@ def validate_point(ctx: GroupCtx, p: Point) -> Point:
     Rational-space points pass through unchanged; finite Abelian points must
     have integer coordinates, which are reduced into ``[0, m)``.
     """
-    if not isinstance(p, tuple) or len(p) != ctx_dim(ctx):
-        raise DomainError(f"expected a {ctx_dim(ctx)}-coordinate point, got {p!r}")
+    if not isinstance(p, tuple) or len(p) != ctx.dim:
+        raise DomainError(f"expected a {ctx.dim}-coordinate point, got {p!r}")
     coords = tuple(Fraction(c) for c in p)
     if isinstance(ctx, FiniteAbelian):
         reduced = []
@@ -262,33 +260,80 @@ class Grid:
             self.dist = _INT_METRICS[ctx.metric]
 
     @classmethod
-    def of(cls, ctx: GroupCtx, *point_seqs: Iterable[Point]) -> "Grid":
-        """The coarsest grid of ``ctx`` that holds every given point."""
+    def of(cls, ctx: GroupCtx, *parts: Union["FiniteSet", Iterable[Point]]) -> "Grid":
+        """The coarsest grid of ``ctx`` that holds every part: a FiniteSet is
+        read by its scale, a sequence of loose points by their denominators."""
         if isinstance(ctx, FiniteAbelian):
             return cls(ctx, 1)
-        dens = {c.denominator for pts in point_seqs for p in pts for c in p}
-        return cls(ctx, math.lcm(1, *dens))
+        scales = [part.scale for part in parts if isinstance(part, FiniteSet)]
+        dens = {c.denominator for part in parts if not isinstance(part, FiniteSet)
+                for p in part for c in p}
+        return cls(ctx, math.lcm(1, *scales, *dens))
 
     def to_int(self, p: Point) -> IntPoint:
         scale = self.scale
         return tuple(c.numerator * (scale // c.denominator) for c in p)
+
+    def ints(self, A: "FiniteSet") -> Sequence[IntPoint]:
+        """The points of the FiniteSet ``A`` on this grid, in A's order."""
+        k = self.scale // A.scale
+        return A.ints if k == 1 else [tuple(c * k for c in p) for p in A.ints]
 
     def dist_value(self, raw: int) -> DistValue:
         if self.metric == EUCLIDEAN_SQUARED:
             return DistValue(Fraction(raw, self.scale * self.scale), squared=True)
         return DistValue(Fraction(raw, self.scale))
 
-    def to_set(self, int_points: Iterable[IntPoint]):
-        """The FiniteSet of the given grid points.
-
-        Points made by this grid's operations are valid by construction, and
-        under one positive scale integer order is rational order, so sorting
-        the integers yields the canonical layout without re-validating.
-        """
-        from .sets import FiniteSet
-
+    def to_set(self, int_points: Iterable[IntPoint]) -> "FiniteSet":
+        """The FiniteSet of points made by this grid's operations (valid by
+        construction, so not validated again; on one grid, integer order is
+        rational order).  The scale is divided by the gcd of all coordinates."""
         pts = sorted(set(int_points))
         if not pts:
             raise DomainError("a finite set needs at least one point")
-        scale = self.scale
-        return FiniteSet(self.ctx, tuple(tuple(Fraction(c, scale) for c in p) for p in pts))
+        g = math.gcd(self.scale, *itertools.chain.from_iterable(pts))
+        if g > 1:
+            pts = [tuple(c // g for c in p) for p in pts]
+        A = FiniteSet.__new__(FiniteSet)  # a frozen dataclass: fill its fields directly
+        vars(A).update(ctx=self.ctx, scale=self.scale // g, ints=tuple(pts))
+        return A
+
+
+@dataclass(frozen=True, init=False)
+class FiniteSet:
+    """A nonempty finite subset of an ambient group, stored on an integer grid:
+    ``ints`` holds the distinct points p * scale in lexicographic order, and
+    ``scale`` is the lcm of the reduced denominators (1 for residues), so
+    equal sets have equal fields.  ``FiniteSet(ctx, points)`` validates
+    rational points; ``elements`` builds them back as ``Fraction`` tuples."""
+
+    ctx: GroupCtx
+    scale: int
+    ints: Tuple[IntPoint, ...]
+
+    def __init__(self, ctx: GroupCtx, points: Iterable[Point]):
+        canon = {validate_point(ctx, p) for p in points}
+        grid = Grid.of(ctx, canon)
+        vars(self).update(vars(grid.to_set(map(grid.to_int, canon))))
+
+    @cached_property
+    def elements(self) -> Tuple[Point, ...]:
+        s = self.scale
+        return tuple(tuple(Fraction(c, s) for c in p) for p in self.ints)
+
+    def __contains__(self, p: Point) -> bool:
+        """Whether ``p`` is a point of the set.  A tuple of the wrong length,
+        a coordinate off this set's grid, or an unreduced residue is not."""
+        s, ints = self.scale, self.ints
+        if not (isinstance(p, tuple) and len(p) == self.ctx.dim and all(
+                isinstance(c, Rational) and s % c.denominator == 0 for c in p)):
+            return False
+        q = tuple(c.numerator * (s // c.denominator) for c in p)
+        i = bisect_left(ints, q)
+        return i < len(ints) and ints[i] == q
+
+    def __iter__(self) -> Iterator[Point]:
+        return iter(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.ints)

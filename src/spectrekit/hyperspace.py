@@ -11,6 +11,7 @@ happened and never claims more.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -26,25 +27,21 @@ from .groups import (
     require_same_ctx,
 )
 from .rational import Rat
-from .sets import FiniteSet, finite_set, min_positive_distance, spectre, spectre_ints
+from .sets import FiniteSet, min_positive_distance, spectre, spectre_ints
 
 
-def _directed(grid: Grid, ps: List[IntPoint], qs: List[IntPoint]) -> int:
+def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint]) -> int:
     """max over p of min over q of d(p, q), in raw grid units."""
     d = grid.dist
     return max(min(d(p, q) for q in qs) for p in ps)
 
 
-def _joint_grid(A: FiniteSet, B: FiniteSet) -> Tuple[Grid, List[IntPoint], List[IntPoint]]:
-    require_same_ctx(A.ctx, B.ctx)
-    grid = Grid.of(A.ctx, A, B)
-    return grid, [grid.to_int(p) for p in A], [grid.to_int(p) for p in B]
-
-
 def hausdorff(A: FiniteSet, B: FiniteSet) -> DistValue:
     """Exact Hausdorff distance: the larger of the two directed distances
     max_a min_b d(a, b) and max_b min_a d(a, b)."""
-    grid, pa, pb = _joint_grid(A, B)
+    require_same_ctx(A.ctx, B.ctx)
+    grid = Grid.of(A.ctx, A, B)
+    pa, pb = grid.ints(A), grid.ints(B)
     return grid.dist_value(max(_directed(grid, pa, pb), _directed(grid, pb, pa)))
 
 
@@ -55,8 +52,9 @@ def fatten_contains(B: FiniteSet, A: FiniteSet, eps: Rat) -> bool:
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("fattening radius must be positive")
-    grid, pa, pb = _joint_grid(A, B)
-    return grid.dist_value(_directed(grid, pb, pa)).value < eps
+    require_same_ctx(A.ctx, B.ctx)
+    grid = Grid.of(A.ctx, A, B)
+    return grid.dist_value(_directed(grid, grid.ints(B), grid.ints(A))).value < eps
 
 
 # -- continuity probes --------------------------------------------------------
@@ -147,14 +145,14 @@ def perturbation_family(A: FiniteSet, count: int = 8) -> List[FiniteSet]:
         raise DomainError("need at least two family members")
     eta = min_positive_distance(A)
     base = Fraction(1, 4) if eta is None else min(Fraction(1), eta.value) / 4
-    moved = A.elements[-1]
-    rest = A.elements[:-1]
-    family = []
-    for n in range(1, count + 1):
-        offset = base / (1 << n)
-        shifted = (moved[0] + offset,) + moved[1:]
-        family.append(finite_set(A.ctx, rest + (shifted,)))
-    return family
+    # base/2^n is 2^(count-n) times the last offset, so one grid holds all.
+    last = (base / (1 << count),)
+    grid = Grid.of(A.ctx, A, [last])
+    unit = grid.to_int(last)[0]
+    pts = grid.ints(A)
+    moved, rest = pts[-1], pts[:-1]
+    return [grid.to_set([*rest, (moved[0] + (unit << (count - n)),) + moved[1:]])
+            for n in range(1, count + 1)]
 
 
 # -- image refutation ---------------------------------------------------------
@@ -182,12 +180,10 @@ def refute_spectre_image(ctx: FiniteAbelian, target: FiniteSet,
     order = ctx.order()
     check_budget_power(2, order, budget)
     grid = Grid.of(ctx)
-    elems = [grid.to_int(p) for p in ctx.elements()]
-    target_ints = frozenset(grid.to_int(p) for p in target)
-    scanned = 0
+    elems = list(itertools.product(*map(range, ctx.moduli)))
+    target_ints = frozenset(target.ints)
     for mask in range(1, 1 << order):
         pts = [elems[i] for i in range(order) if mask >> i & 1]
-        scanned += 1
         if set(spectre_ints(grid, pts)) == target_ints:
-            return RefuteResult(True, grid.to_set(pts), scanned)
-    return RefuteResult(False, None, scanned)
+            return RefuteResult(True, grid.to_set(pts), mask)
+    return RefuteResult(False, None, (1 << order) - 1)

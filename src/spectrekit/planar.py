@@ -14,12 +14,14 @@ checkers for the statements that do survive.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .errors import DomainError
-from .rational import Point, Rat, format_rat
+from .groups import RationalSpace
+from .rational import Point, Rat, format_rat, format_scaled
 from .reports import CheckItem, LemmaReport, report
 from .series import SeriesSpec, _subset_sums, series_spec
 from .sets import FiniteSet
@@ -62,8 +64,6 @@ class AxisGap:
 
 
 def _require_planar(E: FiniteSet) -> None:
-    from .groups import RationalSpace
-
     if not isinstance(E.ctx, RationalSpace) or E.ctx.dim != 2:
         raise DomainError("a two-dimensional rational set is required")
 
@@ -83,7 +83,7 @@ def axis_gaps(E: FiniteSet) -> List[AxisGap]:
     _require_planar(E)
     out: List[AxisGap] = []
     for axis, idx in (("x", 0), ("y", 1)):
-        values = sorted({p[idx] for p in E})
+        values = [Fraction(v, E.scale) for v in sorted({p[idx] for p in E.ints})]
         out.extend(AxisGap(axis, lo, hi) for lo, hi in zip(values, values[1:]))
     return out
 
@@ -93,38 +93,41 @@ def rect_gaps(E: FiniteSet, mode: str = "all") -> List[RectGap]:
 
     For a fixed lower corner p the admissible upper corners are exactly the
     minimal elements of the part of E strictly above and to the right of p
-    in the product order; a single sweep in lexicographic order finds them
-    by tracking the least y seen so far.
+    in the product order.  Those all follow p in lexicographic order, so a
+    sweep over the points after p finds them by tracking the least y seen
+    so far.
     """
     if mode not in RECT_GAP_MODES:
         raise DomainError(f"unknown rect-gap mode {mode!r}")
     _require_planar(E)
-    pts = E.elements
-    found: List[RectGap] = []
-    for p in pts:
-        ax, ay = p
+    pts = E.ints
+    found = []  # (a, c, b, d) on the grid
+    for i, (ax, ay) in enumerate(pts):
         min_y = None
-        for q in pts:
-            if q == p or q[0] < ax or q[1] < ay:
-                continue
-            if min_y is None or q[1] < min_y:
-                if q[0] > ax and q[1] > ay:
-                    found.append(RectGap(ax, q[0], ay, q[1]))
-                min_y = q[1]
-    found.sort(key=lambda g: (g.a, g.c, g.b, g.d))
-    if mode == "largest-by-area":
-        best = max(g.area for g in found) if found else None
-        found = [g for g in found if g.area == best]
-    return found
+        for qx, qy in pts[i + 1:]:
+            if qy >= ay and (min_y is None or qy < min_y):
+                if qx > ax and qy > ay:
+                    found.append((ax, ay, qx, qy))
+                min_y = qy
+    found.sort()
+    if mode == "largest-by-area" and found:
+        best = max((b - a) * (d - c) for a, c, b, d in found)
+        found = [g for g in found if (g[2] - g[0]) * (g[3] - g[1]) == best]
+    s = E.scale
+    return [RectGap(Fraction(a, s), Fraction(b, s), Fraction(c, s), Fraction(d, s))
+            for a, c, b, d in found]
 
 
 def is_rect_gap(E: FiniteSet, a: Rat, b: Rat, c: Rat, d: Rat) -> bool:
     """Direct check of the defining property, independent of the sweep."""
     _require_planar(E)
-    if not (a < b and c < d):
+    if not (a < b and c < d and (a, c) in E and (b, d) in E):
         return False
-    inside = [p for p in E if a <= p[0] <= b and c <= p[1] <= d]
-    return sorted(inside) == [(a, c), (b, d)]
+    s, pts = E.scale, E.ints
+    lower, upper = (int(a * s), int(c * s)), (int(b * s), int(d * s))
+    # The points with a <= x <= b form one slice of the lexicographic order.
+    inside = pts[bisect_left(pts, (lower[0],)):bisect_left(pts, (upper[0] + 1,))]
+    return [p for p in inside if lower[1] <= p[1] <= upper[1]] == [lower, upper]
 
 
 # -- gap lemmas ---------------------------------------------------------------
@@ -237,20 +240,9 @@ def example_series() -> SeriesSpec:
     ])
 
 
-_EXAMPLE_POINTS: Tuple[Tuple[str, str], ...] = (
-    ("0", "0"),
-    ("1/8", "7/8"),
-    ("3/16", "3/16"),
-    ("5/16", "17/16"),
-    ("3/8", "3/8"),
-    ("1/2", "5/4"),
-    ("7/8", "1/8"),
-    ("1", "1"),
-    ("17/16", "5/16"),
-    ("19/16", "19/16"),
-    ("5/4", "1/2"),
-    ("11/8", "11/8"),
-)
+# The achievement set of the example series, in sixteenths, in canonical order.
+_EXAMPLE_SIXTEENTHS = ((0, 0), (2, 14), (3, 3), (5, 17), (6, 6), (8, 20),
+                       (14, 2), (16, 16), (17, 5), (19, 19), (20, 8), (22, 22))
 
 _EXAMPLE_GAP = RectGap(Fraction(3, 8), Fraction(1), Fraction(3, 8), Fraction(1))
 
@@ -265,12 +257,12 @@ def third_gap_failure_witness(budget: Optional[int] = None) -> LemmaReport:
     """
     s = example_series()
     E = achievement_set_2d(s, budget)
-    expected = tuple((Fraction(x), Fraction(y)) for x, y in _EXAMPLE_POINTS)
     items: List[CheckItem] = []
     items.append(CheckItem(
         "achievement set has the expected 12 points",
-        E.elements == expected,
-        ", ".join(f"({format_rat(x)}, {format_rat(y)})" for x, y in E.elements)))
+        (E.scale, E.ints) == (16, _EXAMPLE_SIXTEENTHS),
+        ", ".join(f"({format_scaled(x, E.scale)}, {format_scaled(y, E.scale)})"
+                  for x, y in E.ints)))
     largest = rect_gaps(E, mode="largest-by-area")
     items.append(CheckItem(
         "unique largest rectangular gap is (3/8, 1) x (3/8, 1)",

@@ -12,6 +12,7 @@ attained.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
@@ -66,12 +67,6 @@ class GapTranslationResult:
     epsilon: Rat
 
 
-def _scalar_values(T: FiniteSet) -> List[Rat]:
-    if not isinstance(T.ctx, RationalSpace) or T.ctx.dim != 1:
-        raise DomainError("a one-dimensional rational set is required")
-    return [p[0] for p in T.elements]
-
-
 def gap_translation_check(T: FiniteSet,
                           gap: Tuple[RatLike, RatLike]) -> GapTranslationResult:
     """The least defect e* of a gap (a, b) of T, found in one hash-set pass.
@@ -83,20 +78,22 @@ def gap_translation_check(T: FiniteSet,
     max(T) is always a defect, so e* exists.  T must contain 0 and (a, b)
     must be a gap: both endpoints in T with nothing strictly between.
     """
-    xs = _scalar_values(T)
+    if not isinstance(T.ctx, RationalSpace) or T.ctx.dim != 1:
+        raise DomainError("a one-dimensional rational set is required")
+    xs = [x for (x,) in T.ints]
     if xs[0] != 0:
         raise DomainError("the set must contain 0 as its minimum")
     a, b = as_rat(gap[0]), as_rat(gap[1])
-    if a not in xs or b not in xs or not a < b:
+    i = bisect_left(xs, a * T.scale)
+    if (a,) not in T or (b,) not in T or not a < b or xs[i + 1] != b * T.scale:
         raise DomainError(f"({a}, {b}) is not a gap of the set")
-    if any(a < x < b for x in xs):
-        raise DomainError(f"({a}, {b}) is not a gap of the set")
+    bi = xs[i + 1]
 
     members = set(xs)
-    defects = [x for x in xs if x > 0 and b + x not in members]
-    defects.extend(y - b for y in xs if y > b and y - b not in members)
+    defects = [x for x in xs if x > 0 and bi + x not in members]
+    defects.extend(y - bi for y in xs if y > bi and y - bi not in members)
     least = min(defects)
-    return GapTranslationResult(least > 0, least)
+    return GapTranslationResult(least > 0, Fraction(least, T.scale))
 
 
 # -- the paired-Cantor demonstration ------------------------------------------

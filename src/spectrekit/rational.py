@@ -9,6 +9,7 @@ canonical layout is needed.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Tuple, Union
@@ -42,6 +43,12 @@ def format_rat(value: RatLike) -> str:
     """Render a rational canonically: ``"p/q"`` in lowest terms, or ``"p"``
     when the denominator is one.  ``parse_rat`` inverts this exactly."""
     return str(as_rat(value))
+
+
+def format_scaled(n: int, scale: int) -> str:
+    """``format_rat(Fraction(n, scale))`` without building the Fraction."""
+    g = math.gcd(n, scale)
+    return str(n // g) if g == scale else f"{n // g}/{scale // g}"
 
 
 def as_rat(value: RatLike) -> Rat:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SpectreKitError, check_budget_power
-from .groups import SUP, Grid, RationalSpace, zero
+from .groups import SUP, Grid, RationalSpace
 from .rational import Point, Rat, RatLike, as_rat, format_rat, point
 from .reports import CheckItem, LemmaReport, report
 from .sets import FiniteSet, spectre
@@ -102,7 +102,7 @@ def _subset_sums_cached(ctx: RationalSpace, terms: Tuple[Point, ...],
     steps = [[tuple(c * x for x in t) for c in menu] for t in terms]
     grid = Grid.of(ctx, *steps)
     add = grid.add
-    sums = {grid.to_int(zero(ctx))}
+    sums = {(0,) * ctx.dim}
     for row in steps:
         ints = [grid.to_int(p) for p in row]
         sums |= {add(s, d) for d in ints for s in sums}
@@ -162,12 +162,13 @@ def find_gaps(E: FiniteSet) -> List[Gap1D]:
     """All gaps of a scalar set, left to right, with dominating flags."""
     if not isinstance(E.ctx, RationalSpace) or E.ctx.dim != 1:
         raise DomainError("gap scans need a one-dimensional rational set")
-    xs = [p[0] for p in E.elements]
+    xs = [x for (x,) in E.ints]
+    rats = [Fraction(x, E.scale) for x in xs]
     gaps: List[Gap1D] = []
-    longest = Fraction(0)
-    for lo, hi in zip(xs, xs[1:]):
-        length = hi - lo
-        gaps.append(Gap1D(lo, hi, dominating=length > longest))
+    longest = 0
+    for i in range(len(xs) - 1):
+        length = xs[i + 1] - xs[i]
+        gaps.append(Gap1D(rats[i], rats[i + 1], dominating=length > longest))
         longest = max(longest, length)
     return gaps
 
@@ -269,11 +270,11 @@ def series_spectre_checks(s: SeriesSpec,
                 multiple in SE))
 
     if s.dim == 1:
-        # In one dimension C(E) is the nonnegative part of S(E).
-        center = {abs(z[0]) for z in SE}
+        # In one dimension C(E) is the nonnegative part of S(E), and S(E)
+        # is symmetric, so |t| is in C(E) exactly when it is in S(E).
         for t in sorted({abs(t[0]) for t in s.terms}):
             items.append(CheckItem(
-                f"|term| {format_rat(t)} in C(E)", t in center))
+                f"|term| {format_rat(t)} in C(E)", (t,) in SE))
 
     initial = [_subset_sums(ctx, s.terms[:k], budget)
                for k in range(s.count + 1)]
@@ -284,10 +285,12 @@ def series_spectre_checks(s: SeriesSpec,
 
     def chain(label: str, pairs: Iterable[Tuple[FiniteSet, FiniteSet]]) -> None:
         for n, (small, large) in enumerate(pairs):
-            missing = [p for p in small if p not in large]
+            grid = Grid.of(ctx, small, large)
+            member = set(grid.ints(large))
+            missing = [i for i, p in enumerate(grid.ints(small)) if p not in member]
             if missing:
                 items.append(CheckItem(label, False,
-                                       f"fails at n={n}: {missing[0]}"))
+                                       f"fails at n={n}: {small.elements[missing[0]]}"))
                 return
         items.append(CheckItem(label, True))
 

@@ -7,9 +7,10 @@ finite set A in an Abelian metric group:
 * a distance value lies in the center C(A) when every x in A realizes it
   against some point of A.
 
-Both are computed exactly.  Every kernel here rescales its points once onto
-a ``groups.Grid``, so the inner membership loops run on machine integers,
-and returns its result through ``Grid.to_set``.
+Both are computed exactly.  A FiniteSet keeps its points on an integer grid
+(``groups.Grid``), so the kernels here run on integers from input to result.
+Only ``densify_to_netset`` builds rational points, since the denominators of
+its candidates are not known in advance.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SpectreKitError, check_budget
 from .groups import (
     DistValue,
+    FiniteSet,
     Grid,
     GroupCtx,
     IntPoint,
@@ -34,63 +35,32 @@ from .groups import (
 from .rational import Point, Rat
 
 
-@dataclass(frozen=True)
-class FiniteSet:
-    """A nonempty finite subset of an ambient group, in canonical form:
-    validated points, deduplicated, sorted lexicographically."""
-
-    ctx: GroupCtx
-    elements: Tuple[Point, ...]
-
-    @cached_property
-    def _index(self) -> frozenset:
-        return frozenset(self.elements)
-
-    def __contains__(self, p: Point) -> bool:
-        return p in self._index
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def finite_set(ctx: GroupCtx, points: Iterable[Point]) -> FiniteSet:
     """Canonicalize ``points`` into a FiniteSet.  Duplicates collapse silently;
     an empty collection is rejected since spectres of the empty set are not
     defined here."""
-    canon = sorted({validate_point(ctx, p) for p in points})
-    if not canon:
-        raise DomainError("a finite set needs at least one point")
-    return FiniteSet(ctx, tuple(canon))
+    return FiniteSet(ctx, points)
 
 
 def translate(A: FiniteSet, t: Point) -> FiniteSet:
-    t = validate_point(A.ctx, t)
-    grid = Grid.of(A.ctx, A, [t])
-    ti = grid.to_int(t)
-    return grid.to_set(grid.add(grid.to_int(p), ti) for p in A)
+    return minkowski_sum(A, finite_set(A.ctx, [t]))
 
 
 def negate(A: FiniteSet) -> FiniteSet:
     grid = Grid.of(A.ctx, A)
-    return grid.to_set(grid.neg(grid.to_int(p)) for p in A)
+    return grid.to_set(map(grid.neg, A.ints))
 
 
 def minkowski_sum(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     require_same_ctx(A.ctx, B.ctx)
     grid = Grid.of(A.ctx, A, B)
-    pa = [grid.to_int(p) for p in A]
-    pb = [grid.to_int(q) for q in B]
-    return grid.to_set(grid.add(p, q) for p in pa for q in pb)
+    pb = grid.ints(B)
+    return grid.to_set(grid.add(p, q) for p in grid.ints(A) for q in pb)
 
 
 def difference_set(A: FiniteSet) -> FiniteSet:
     """A - A, the set of pairwise differences (always symmetric, contains 0)."""
-    grid = Grid.of(A.ctx, A)
-    pts = [grid.to_int(p) for p in A]
-    return grid.to_set(grid.sub(p, q) for p in pts for q in pts)
+    return minkowski_sum(A, negate(A))
 
 
 # -- spectre and center -------------------------------------------------------
@@ -111,7 +81,7 @@ def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> F
     if mode not in SPECTRE_MODES:
         raise DomainError(f"unknown spectre mode {mode!r}")
     grid = Grid.of(A.ctx, A)
-    pts = [grid.to_int(p) for p in A]
+    pts = A.ints
     candidates = None
     if mode == "oracle" and grid.moduli is not None:
         check_budget(A.ctx.order(), budget)
@@ -149,14 +119,13 @@ def distance_set(A: FiniteSet, x: Optional[Point] = None) -> List[DistValue]:
     without repeats; includes zero whenever x (or any point) sees itself."""
     if x is None:
         grid = Grid.of(A.ctx, A)
-        pts = [grid.to_int(p) for p in A]
-        raws = {grid.dist(p, q) for p, q in itertools.combinations(pts, 2)}
+        raws = {grid.dist(p, q) for p, q in itertools.combinations(A.ints, 2)}
         raws.add(0)
     else:
         x = validate_point(A.ctx, x)
         grid = Grid.of(A.ctx, A, [x])
         xi = grid.to_int(x)
-        raws = {grid.dist(xi, grid.to_int(p)) for p in A}
+        raws = {grid.dist(xi, p) for p in grid.ints(A)}
     return [grid.dist_value(r) for r in sorted(raws)]
 
 
@@ -165,7 +134,7 @@ def center_of_distances(A: FiniteSet) -> List[DistValue]:
     zero; sorted ascending."""
     grid = Grid.of(A.ctx, A)
     d = grid.dist
-    pts = [grid.to_int(p) for p in A]
+    pts = A.ints
     common: Optional[set] = None
     for p in pts:
         seen = {d(p, q) for q in pts}
@@ -208,7 +177,7 @@ def is_net_set(A: FiniteSet) -> SetVerdict:
     if len(A) < 3:
         return SetVerdict(False, reason="a net-set needs at least three elements")
     grid = Grid.of(A.ctx, A)
-    pts = [grid.to_int(p) for p in A]
+    pts = A.ints
     seen = {}
     for i, j in itertools.combinations(range(len(pts)), 2):
         diff = grid.sub(pts[i], pts[j])
@@ -230,7 +199,7 @@ def is_non_sliding(A: FiniteSet) -> SetVerdict:
     """A is non-sliding when every positive distance between its points is
     realized by exactly one unordered pair."""
     grid = Grid.of(A.ctx, A)
-    pts = [grid.to_int(p) for p in A]
+    pts = A.ints
     seen = {}
     for i, j in itertools.combinations(range(len(pts)), 2):
         raw = grid.dist(pts[i], pts[j])
@@ -253,8 +222,7 @@ def min_positive_distance(A: FiniteSet) -> Optional[DistValue]:
     if len(A) < 2:
         return None
     grid = Grid.of(A.ctx, A)
-    pts = [grid.to_int(p) for p in A]
-    best = min(grid.dist(p, q) for p, q in itertools.combinations(pts, 2))
+    best = min(grid.dist(p, q) for p, q in itertools.combinations(A.ints, 2))
     return grid.dist_value(best)
 
 
@@ -266,10 +234,7 @@ def spectre_inflate(B: FiniteSet, x: Point) -> FiniteSet:
     x = validate_point(B.ctx, x)
     if x == zero(B.ctx):
         raise DomainError("the shift must be nonzero")
-    grid = Grid.of(B.ctx, B, [x])
-    pts = [grid.to_int(b) for b in B]
-    xi = grid.to_int(x)
-    return grid.to_set(pts + [grid.add(p, xi) for p in pts])
+    return minkowski_sum(B, finite_set(B.ctx, [zero(B.ctx), x]))
 
 
 def _perturbations(dim: int, eps: Rat) -> Iterator[Point]:
@@ -278,14 +243,15 @@ def _perturbations(dim: int, eps: Rat) -> Iterator[Point]:
     Candidates are eps/2^j along one axis plus eps/2^k along another, visited
     by increasing j+k so the stream contains vectors of arbitrarily small
     norm and, for any finite exclusion set, eventually a vector avoiding it.
+    The terms (i, j) and (m, k) give the same vector as (m, k) and (i, j), so
+    only the first of the two in loop order, (j, i) <= (k, m), is yielded.
     """
-    zero_vec = [Fraction(0)] * dim
     for total in itertools.count(2):
         for j in range(1, total):
             k = total - j
-            for i in range(dim):
-                for m in range(dim):
-                    v = list(zero_vec)
+            for i, m in itertools.product(range(dim), repeat=2):
+                if (j, i) <= (k, m):
+                    v = [Fraction(0)] * dim
                     v[i] += eps / (1 << j)
                     v[m] += eps / (1 << k)
                     if max(abs(c) for c in v) < eps:

@@ -265,31 +265,15 @@ def translation_supremum(T: Iterable[Fraction], b: Fraction):
     return failed
 
 
-def dense_translation_exists(T: Iterable[Fraction], b: Fraction) -> bool:
-    """Decide the translation property by genuinely dense epsilon sampling.
+def dense_translation_supremum(T: Iterable[Fraction], b: Fraction):
+    """The first radius at which the translation predicate fails, by
+    genuinely dense epsilon sampling, or None.
 
     Every quantity in the predicate lives on the 1/L grid for L the lcm of
     all denominators involved, so stepping epsilon by 1/(4L) hits every
     breakpoint and the interior of every interval between breakpoints.
-    """
-    ts = sorted(set(T))
-    L = lcm(*(t.denominator for t in ts), b.denominator)
-    step = Fraction(1, 4 * L)
-    top = max(ts) + 1
-    eps = step
-    while eps <= top:
-        if translation_predicate(ts, b, eps):
-            return True
-        eps += step
-    return False
-
-
-def dense_translation_supremum(T: Iterable[Fraction], b: Fraction):
-    """The first radius at which the translation predicate fails, by the
-    same dense sampling as ``dense_translation_exists``, or None.
-
-    Breakpoints lie on the 1/L grid, so when the predicate holds on [0, e)
-    and fails at e, the first failing sample is e itself.
+    When the predicate holds on [0, e) and fails at e, the first failing
+    sample is e itself.
     """
     ts = sorted(set(T))
     L = lcm(*(t.denominator for t in ts), b.denominator)

@@ -2,30 +2,38 @@
 
 Each kernel that computes on ``groups.Grid`` is compared with the naive
 ``Fraction`` routes in ``oracles.py`` over Q^1, Q^2 under each metric, and
-Z_a x Z_b.
+Z_a x Z_b.  A FiniteSet stores its points on a grid, so its equality,
+hashing, membership and encoding are compared with the same questions asked
+of its ``Fraction`` points.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from spectrekit import (
     FiniteAbelian,
     RationalSpace,
+    achievement_set_2d,
     difference_set,
     dist,
     finite_set,
+    format_rat,
     initial_subsums,
     minkowski_sum,
     negate,
+    rect_gaps,
     series_spec,
     translate,
 )
+from spectrekit.formats import encode_set
 from spectrekit.groups import EUCLIDEAN_SQUARED, SUP, TAXICAB, Grid
+from spectrekit.planar import is_rect_gap
 
 RATIONAL_CTXS = [RationalSpace(1), RationalSpace(2, SUP),
                  RationalSpace(2, TAXICAB), RationalSpace(2, EUCLIDEAN_SQUARED)]
@@ -108,3 +116,109 @@ def test_dist_matches_oracle_metrics(case):
         for q in pts:
             d = dist(ctx, p, q)
             assert (d.value, d.squared) == (distance(p, q), squared)
+
+
+# -- the stored grid ----------------------------------------------------------
+
+def assert_canonical(got, want):
+    """``got`` equals ``want`` field by field and hashes alike, and its scale
+    is the lcm of the reduced denominators of its points."""
+    assert got == want and hash(got) == hash(want)
+    assert got.scale == math.lcm(1, *(c.denominator for p in got.elements for c in p))
+
+
+@given(ctx_with_sets(2))
+def test_joint_grid_results_equal_finite_set_of_their_points(case):
+    ctx, pa, pb = case
+    add, sub, _, _ = oracle_ops(ctx)
+    A, B = finite_set(ctx, pa), finite_set(ctx, pb)
+    t = B.elements[-1]
+    assert_canonical(minkowski_sum(A, B), finite_set(ctx, [add(p, q) for p in pa for q in pb]))
+    assert_canonical(translate(A, t), finite_set(ctx, [add(p, t) for p in pa]))
+    assert_canonical(difference_set(A), finite_set(ctx, [sub(p, q) for p in pa for q in pa]))
+
+
+def test_scale_shrinks_when_denominators_cancel():
+    Q1 = RationalSpace(1)
+    half = finite_set(Q1, [(Fraction(1, 2),), (Fraction(3, 2),)])
+    total = minkowski_sum(half, half)
+    assert (total.scale, total.ints) == (1, ((1,), (2,), (3,)))
+    assert_canonical(total, finite_set(Q1, [(1,), (2,), (3,)]))
+
+
+@st.composite
+def membership_probes(draw, ctx, A):
+    """Points of A, other points of the context, points off A's grid,
+    tuples of the wrong length, plain-int coordinates and, on a finite
+    group, residues outside [0, m)."""
+    probes = list(A.elements) + draw(points_in(ctx))
+    p = draw(st.sampled_from(A.elements))
+    probes += [p + (Fraction(0),), p[:-1], tuple(int(c) for c in p),
+               tuple(draw(st.integers(-3, 3)) for _ in p)]
+    if isinstance(ctx, FiniteAbelian):
+        probes += [tuple(c + m for c, m in zip(p, ctx.moduli)),
+                   tuple(c - m for c, m in zip(p, ctx.moduli))]
+    else:
+        probes.append(tuple(c + Fraction(1, 3 * A.scale) for c in p))
+    return probes
+
+
+@given(ctx_with_sets(1), st.data())
+def test_membership_agrees_with_the_rational_points(case, data):
+    ctx, pts = case
+    A = finite_set(ctx, pts)
+    if data.draw(st.booleans()):
+        A = difference_set(A)
+    members = frozenset(A.elements)
+    for q in data.draw(membership_probes(ctx, A)):
+        assert (q in A) == (q in members), q
+
+
+@given(ctx_with_sets(2))
+def test_encode_set_matches_format_rat(case):
+    ctx, pa, pb = case
+    for A in (finite_set(ctx, pa), minkowski_sum(finite_set(ctx, pa), finite_set(ctx, pb))):
+        assert encode_set(A)["points"] == [[format_rat(c) for c in p] for p in A.elements]
+
+
+def fraction_rect_sweep(points):
+    """Rectangular gaps (a, b, c, d) by the lexicographic sweep on Fraction
+    points, ordered by (a, c, b, d): for each lower corner p, every later
+    point above and right of p that lowers the least y seen so far."""
+    pts = sorted(points)
+    found = []
+    for p in pts:
+        ax, ay = p
+        min_y = None
+        for q in pts:
+            if q == p or q[0] < ax or q[1] < ay:
+                continue
+            if min_y is None or q[1] < min_y:
+                if q[0] > ax and q[1] > ay:
+                    found.append((ax, q[0], ay, q[1]))
+                min_y = q[1]
+    return sorted(found, key=lambda g: (g[0], g[2], g[1], g[3]))
+
+
+nonneg_rats = st.fractions(min_value=0, max_value=2, max_denominator=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(nonneg_rats, nonneg_rats), min_size=1, max_size=6), st.data())
+def test_rect_gaps_match_the_fraction_sweep_and_the_definition(terms, data):
+    E = achievement_set_2d(series_spec(terms))
+    pts = E.elements
+    got = [(g.a, g.b, g.c, g.d) for g in rect_gaps(E)]
+    assert got == fraction_rect_sweep(pts)
+    assert sorted(got) == oracles.naive_rect_gaps(pts)
+    areas = [(b - a) * (d - c) for a, b, c, d in got]
+    assert [(g.a, g.b, g.c, g.d) for g in rect_gaps(E, mode="largest-by-area")] == \
+        [g for g, area in zip(got, areas) if area == max(areas)]
+    for a, b, c, d in got:
+        assert is_rect_gap(E, a, b, c, d)
+    xs = sorted({p[0] for p in pts}) + [Fraction(1, 17)]
+    ys = sorted({p[1] for p in pts}) + [Fraction(1, 17)]
+    for _ in range(20):
+        a, b = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(xs))
+        c, d = data.draw(st.sampled_from(ys)), data.draw(st.sampled_from(ys))
+        assert is_rect_gap(E, a, b, c, d) == oracles.naive_rect_gap_ok(pts, a, b, c, d)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from spectrekit import (
     zero,
 )
 from gen import rand_finab_ctx, rand_finab_set, rand_point, rand_qset
+from spectrekit.sets import _perturbations
 
 Q1 = RationalSpace(1)
 Q2 = RationalSpace(2)
@@ -419,6 +421,11 @@ class TestDensify:
         ]
         for B, eps, want in cases:
             assert list(densify_to_netset(B, eps).elements) == want
+
+    def test_perturbation_stream_has_no_repeats(self):
+        for dim in (1, 2):
+            vectors = list(itertools.islice(_perturbations(dim, Fraction(1, 16)), 2000))
+            assert len(set(vectors)) == 2000
 
     def test_matches_the_naive_greedy_rule(self):
         r = random.Random(217)
