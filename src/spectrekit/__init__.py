@@ -15,10 +15,6 @@ from .groups import (
     GroupCtx,
     RationalSpace,
     dist,
-    group_add,
-    group_neg,
-    group_sub,
-    scalar_mul,
     subgroup_generated,
     zero,
 )

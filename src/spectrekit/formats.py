@@ -147,8 +147,9 @@ def decode_family(obj: Any) -> List[FiniteSet]:
 # -- series and P-specs -------------------------------------------------------
 
 def encode_series(s: SeriesSpec) -> Dict[str, Any]:
-    doc: Dict[str, Any] = {"terms": [[format_rat(c) for c in t] for t in s.terms]}
-    if not s.terms:
+    doc: Dict[str, Any] = {"terms": [[format_scaled(c, s.scale) for c in t]
+                                     for t in s.ints]}
+    if not s.ints:
         doc["dim"] = s.dim
     return doc
 

@@ -148,32 +148,6 @@ def validate_point(ctx: GroupCtx, p: Point) -> Point:
     return coords
 
 
-def group_add(ctx: GroupCtx, p: Point, q: Point) -> Point:
-    if isinstance(ctx, FiniteAbelian):
-        return tuple(
-            Fraction((int(a) + int(b)) % m)
-            for a, b, m in zip(p, q, ctx.moduli)
-        )
-    return tuple(a + b for a, b in zip(p, q))
-
-
-def group_neg(ctx: GroupCtx, p: Point) -> Point:
-    if isinstance(ctx, FiniteAbelian):
-        return tuple(Fraction((-int(a)) % m) for a, m in zip(p, ctx.moduli))
-    return tuple(-a for a in p)
-
-
-def group_sub(ctx: GroupCtx, p: Point, q: Point) -> Point:
-    return group_add(ctx, p, group_neg(ctx, q))
-
-
-def scalar_mul(ctx: GroupCtx, n: int, p: Point) -> Point:
-    """n-fold sum of ``p`` with itself (n may be negative or zero)."""
-    if isinstance(ctx, FiniteAbelian):
-        return tuple(Fraction((int(a) * n) % m) for a, m in zip(p, ctx.moduli))
-    return tuple(a * n for a in p)
-
-
 def dist(ctx: GroupCtx, p: Point, q: Point) -> DistValue:
     """Exact distance between two points of ``ctx``."""
     grid = Grid.of(ctx, (p, q))
@@ -324,11 +298,18 @@ class FiniteSet:
     def __contains__(self, p: Point) -> bool:
         """Whether ``p`` is a point of the set.  A tuple of the wrong length,
         a coordinate off this set's grid, or an unreduced residue is not."""
-        s, ints = self.scale, self.ints
+        s = self.scale
         if not (isinstance(p, tuple) and len(p) == self.ctx.dim and all(
                 isinstance(c, Rational) and s % c.denominator == 0 for c in p)):
             return False
-        q = tuple(c.numerator * (s // c.denominator) for c in p)
+        return self.contains_int(tuple(c.numerator * (s // c.denominator) for c in p), s)
+
+    def contains_int(self, q: IntPoint, scale: int) -> bool:
+        """Whether the point q / scale, given on any integer grid, is in the set."""
+        s, ints = self.scale, self.ints
+        if any(c * s % scale for c in q):
+            return False
+        q = tuple(c * s // scale for c in q)
         i = bisect_left(ints, q)
         return i < len(ints) and ints[i] == q
 

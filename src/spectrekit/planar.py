@@ -10,6 +10,10 @@ The one-dimensional story that every dominating gap is explained by a term
 and a tail sum does not survive in the plane; this module carries a small
 fixed series whose largest rectangular gap refutes the direct analogue, and
 checkers for the statements that do survive.
+
+Series and sets are stored on integer grids, and E has the scale of a
+nonempty series, so the checkers do their sums, tails and corner tests on
+integers and build ``Fraction`` values only for the gaps they return.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import List, Optional, Tuple, Union
 
 from .errors import DomainError
-from .groups import RationalSpace
-from .rational import Point, Rat, format_rat, format_scaled
+from .groups import IntPoint, RationalSpace
+from .rational import Point, Rat, format_scaled
 from .reports import CheckItem, LemmaReport, report
 from .series import SeriesSpec, _subset_sums, series_spec
 from .sets import FiniteSet
@@ -74,7 +79,7 @@ def achievement_set_2d(s: SeriesSpec, budget: Optional[int] = None) -> FiniteSet
         raise DomainError("planar enumeration needs two-dimensional terms")
     if not s.nonnegative:
         raise DomainError("achievement sets are defined for nonnegative terms")
-    return _subset_sums(s.ctx(), s.terms, budget)
+    return _subset_sums(s.ctx(), s.ints, s.scale, budget)
 
 
 def axis_gaps(E: FiniteSet) -> List[AxisGap]:
@@ -121,10 +126,25 @@ def rect_gaps(E: FiniteSet, mode: str = "all") -> List[RectGap]:
 def is_rect_gap(E: FiniteSet, a: Rat, b: Rat, c: Rat, d: Rat) -> bool:
     """Direct check of the defining property, independent of the sweep."""
     _require_planar(E)
-    if not (a < b and c < d and (a, c) in E and (b, d) in E):
+    corners = _grid_corners(E.scale, a, b, c, d)
+    return corners is not None and _is_grid_rect_gap(E, *corners)
+
+
+def _grid_corners(scale: int, a: Rat, b: Rat, c: Rat,
+                  d: Rat) -> Optional[Tuple[IntPoint, IntPoint]]:
+    """The corners (a, c) and (b, d) times ``scale``, or None if off that grid."""
+    if not all(isinstance(v, Rational) and scale % v.denominator == 0
+               for v in (a, b, c, d)):
+        return None
+    a, b, c, d = (v.numerator * (scale // v.denominator) for v in (a, b, c, d))
+    return (a, c), (b, d)
+
+
+def _is_grid_rect_gap(E: FiniteSet, lower: IntPoint, upper: IntPoint) -> bool:
+    """The defining property for corners on E's grid."""
+    if not (lower[0] < upper[0] and lower[1] < upper[1]):
         return False
-    s, pts = E.scale, E.ints
-    lower, upper = (int(a * s), int(c * s)), (int(b * s), int(d * s))
+    pts = E.ints
     # The points with a <= x <= b form one slice of the lexicographic order.
     inside = pts[bisect_left(pts, (lower[0],)):bisect_left(pts, (upper[0] + 1,))]
     return [p for p in inside if lower[1] <= p[1] <= upper[1]] == [lower, upper]
@@ -148,33 +168,34 @@ def first_gap_lemma_2d(s: SeriesSpec, k: int,
         raise DomainError(f"k must lie in [1, {s.count}], got {k}")
     if not s.nonnegative:
         raise DomainError("nonnegative terms required")
-    E = achievement_set_2d(s, budget)
-    gaps = axis_gaps(E)
-    xk, yk = s.terms[k - 1]
-    ax_idx = [n for n in range(1, s.count + 1) if s.terms[n - 1][0] < xk]
-    ay_idx = [n for n in range(1, s.count + 1) if s.terms[n - 1][1] < yk]
-    sum_x = sum((s.terms[n - 1][0] for n in ax_idx), Fraction(0))
-    sum_y = sum((s.terms[n - 1][1] for n in ay_idx), Fraction(0))
+    E = achievement_set_2d(s, budget)  # on the series' grid
+    S = s.scale
+    xk, yk = s.ints[k - 1]
+    ax_idx = [n for n, t in enumerate(s.ints) if t[0] < xk]
+    ay_idx = [n for n, t in enumerate(s.ints) if t[1] < yk]
+    sum_x = sum(s.ints[n][0] for n in ax_idx)
+    sum_y = sum(s.ints[n][1] for n in ay_idx)
     items: List[CheckItem] = []
 
-    def axis_item(axis: str, lo: Rat, hi: Rat, applicable: bool) -> None:
-        label = f"{axis}-gap ({format_rat(lo)}, {format_rat(hi)})"
-        if not applicable:
+    def axis_item(axis: str, idx: int, lo: int, hi: int) -> None:
+        if hi <= lo:
             items.append(CheckItem(f"{axis}-gap prediction", True,
                                    "hypothesis not satisfied"))
             return
-        hit = any(g.axis == axis and g.lo == lo and g.hi == hi for g in gaps)
+        values = {p[idx] for p in E.ints}
+        hit = lo in values and hi in values and not any(lo < v < hi for v in values)
+        label = f"{axis}-gap ({format_scaled(lo, S)}, {format_scaled(hi, S)})"
         items.append(CheckItem(label, hit,
                                "" if hit else "predicted interval is not an axis gap"))
 
-    axis_item("x", sum_x, xk, xk > sum_x)
-    axis_item("y", sum_y, yk, yk > sum_y)
+    axis_item("x", 0, sum_x, xk)
+    axis_item("y", 1, sum_y, yk)
 
     if ax_idx == ay_idx and xk > sum_x and yk > sum_y:
-        hit = is_rect_gap(E, sum_x, xk, sum_y, yk)
+        hit = _is_grid_rect_gap(E, (sum_x, sum_y), (xk, yk))
         items.append(CheckItem(
-            f"rect gap ({format_rat(sum_x)}, {format_rat(xk)}) x "
-            f"({format_rat(sum_y)}, {format_rat(yk)})", hit,
+            f"rect gap ({format_scaled(sum_x, S)}, {format_scaled(xk, S)}) x "
+            f"({format_scaled(sum_y, S)}, {format_scaled(yk, S)})", hit,
             "" if hit else "predicted rectangle is not a gap"))
     else:
         items.append(CheckItem("rect-gap prediction", True,
@@ -189,41 +210,37 @@ def second_gap_lemma_2d(s: SeriesSpec, gap: Union[RectGap, Tuple[Rat, Rat, Rat, 
     With k the last index whose term reaches the gap's width or height, the
     upper corner is an initial sum from the first k terms, and the lower
     corner is an initial sum plus the full tail beyond k.  A rectangle that
-    is not actually a gap fails the report; a series where no term reaches
-    the gap size makes the lemma inapplicable, which is not a failure.
+    is not actually a gap fails the report.
     """
     if s.dim != 2:
         raise DomainError("two-dimensional terms required")
     if not s.nonnegative:
         raise DomainError("nonnegative terms required")
     g = gap if isinstance(gap, RectGap) else RectGap(*gap)
-    E = achievement_set_2d(s, budget)
+    E = achievement_set_2d(s, budget)  # on the series' grid
+    S = s.scale
+    corners = _grid_corners(S, g.a, g.b, g.c, g.d)
     items: List[CheckItem] = []
-    if not is_rect_gap(E, g.a, g.b, g.c, g.d):
+    if corners is None or not _is_grid_rect_gap(E, *corners):
         items.append(CheckItem("input rectangle is a gap of E", False,
                                "the defining property fails"))
         return report("second-gap-2d", items)
     items.append(CheckItem("input rectangle is a gap of E", True))
 
-    width = g.b - g.a
-    height = g.d - g.c
-    qualifying = [n for n in range(1, s.count + 1)
-                  if s.terms[n - 1][0] >= width or s.terms[n - 1][1] >= height]
-    if not qualifying:
-        items.append(CheckItem("applicability", True,
-                               "no term reaches the gap size; nothing to check"))
-        return report("second-gap-2d", items)
-    k = max(qualifying)
-    F_k = _subset_sums(s.ctx(), s.terms[:k], budget)
+    (a, c), (b, d) = corners
+    # Some term reaches the gap size: otherwise (a, c) plus any term outside
+    # its index set would be a third point of E in the rectangle.
+    k = max(n for n, (x, y) in enumerate(s.ints, 1) if x >= b - a or y >= d - c)
+    F_k = _subset_sums(s.ctx(), s.ints[:k], S, budget)
     items.append(CheckItem(
-        f"upper corner in F_{k}", g.upper in F_k,
-        f"corner ({format_rat(g.b)}, {format_rat(g.d)})"))
-    tail_x = sum((t[0] for t in s.terms[k:]), Fraction(0))
-    tail_y = sum((t[1] for t in s.terms[k:]), Fraction(0))
-    f = (g.a - tail_x, g.c - tail_y)
+        f"upper corner in F_{k}", F_k.contains_int((b, d), S),
+        f"corner ({format_scaled(b, S)}, {format_scaled(d, S)})"))
+    tail_x = sum(x for x, _ in s.ints[k:])
+    tail_y = sum(y for _, y in s.ints[k:])
+    f = (a - tail_x, c - tail_y)
     items.append(CheckItem(
-        f"lower corner is an F_{k} sum plus the tail", f in F_k,
-        f"initial part ({format_rat(f[0])}, {format_rat(f[1])})"))
+        f"lower corner is an F_{k} sum plus the tail", F_k.contains_int(f, S),
+        f"initial part ({format_scaled(f[0], S)}, {format_scaled(f[1], S)})"))
     return report("second-gap-2d", items)
 
 
@@ -268,13 +285,13 @@ def third_gap_failure_witness(budget: Optional[int] = None) -> LemmaReport:
         "unique largest rectangular gap is (3/8, 1) x (3/8, 1)",
         largest == [_EXAMPLE_GAP],
         f"found {len(largest)} maximal gap(s)"))
+    S = s.scale
     g = _EXAMPLE_GAP
-    explained = False
-    for m in range(1, s.count + 1):
-        tail_x = sum((t[0] for t in s.terms[m:]), Fraction(0))
-        tail_y = sum((t[1] for t in s.terms[m:]), Fraction(0))
-        if s.terms[m - 1] == g.upper and (tail_x, tail_y) == g.lower:
-            explained = True
+    lower, upper = _grid_corners(S, g.a, g.b, g.c, g.d)
+    tail, explained = (0, 0), False
+    for t in reversed(s.ints):
+        explained |= t == upper and tail == lower
+        tail = (tail[0] + t[0], tail[1] + t[1])
     items.append(CheckItem(
         "no term and tail explain the gap corners", not explained,
         "corner (1, 1) is achieved only as a two-term sum"))

@@ -20,7 +20,7 @@ from typing import Iterable, List, Optional, Tuple
 from .errors import DomainError, check_budget_power
 from .groups import RationalSpace
 from .rational import Rat, RatLike, as_rat
-from .series import _subset_sums_cached
+from .series import _subset_sums_cached, series_spec
 from .sets import FiniteSet, finite_set
 
 _CTX_1D = RationalSpace(1)
@@ -53,8 +53,10 @@ def pspec(coeffs: Iterable[RatLike], terms: Iterable[RatLike]) -> PSpec:
 def psum_set(spec: PSpec, budget: Optional[int] = None) -> FiniteSet:
     """T = {sum of xi_n a_n : xi_n in P}, as a one-dimensional set."""
     check_budget_power(len(spec.coeffs), len(spec.terms), budget)
-    return _subset_sums_cached(_CTX_1D, tuple((t,) for t in spec.terms),
-                               spec.coeffs[1:])
+    # The terms and the nonzero coefficients, each on its own integer grid.
+    s, menu = series_spec(spec.terms), series_spec(spec.coeffs[1:])
+    return _subset_sums_cached(_CTX_1D, s.ints, s.scale * menu.scale,
+                               tuple(c for (c,) in menu.ints))
 
 
 @dataclass(frozen=True)

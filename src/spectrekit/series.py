@@ -7,18 +7,24 @@ E = F_k + E_k as a Minkowski sum.  For one-dimensional nonnegative series
 the complement of E decomposes into maximal open intervals, the gaps; a gap
 is dominating when it is strictly longer than every gap to its left, and
 those gaps are pinned down exactly by a term and a tail sum.
+
+A series is stored on an integer grid, like a FiniteSet.  Each term is a
+one-term sum, so E has the scale of a nonempty series, and the checkers
+compare terms, tails and gap ends with the integer points of E.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SpectreKitError, check_budget_power
-from .groups import SUP, Grid, RationalSpace
-from .rational import Point, Rat, RatLike, as_rat, format_rat, point
+from .groups import SUP, Grid, IntPoint, RationalSpace
+from .rational import Point, Rat, RatLike, as_rat, format_scaled, point
 from .reports import CheckItem, LemmaReport, report
 from .sets import FiniteSet, spectre
 
@@ -27,34 +33,42 @@ TermLike = Union[RatLike, Sequence[RatLike]]
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Terms of a finite-support series, each a point of a fixed dimension.
+    """Terms of a finite-support series, each a point of a fixed dimension:
+    ``ints[n]`` is term n times ``scale``, the lcm of the reduced term
+    denominators (1 for no terms), so equal series have equal fields.
+    ``terms`` builds the ``Fraction`` tuples when asked.
 
     An empty term list is allowed (the zero series); its dimension is
     whatever the factory was told, defaulting to 1.
     """
 
-    terms: Tuple[Point, ...]
+    scale: int
+    ints: Tuple[IntPoint, ...]
     _dim: int = 1
+
+    @cached_property
+    def terms(self) -> Tuple[Point, ...]:
+        s = self.scale
+        return tuple(tuple(Fraction(c, s) for c in t) for t in self.ints)
 
     @property
     def dim(self) -> int:
-        return len(self.terms[0]) if self.terms else self._dim
+        return len(self.ints[0]) if self.ints else self._dim
 
     @property
     def count(self) -> int:
-        return len(self.terms)
+        return len(self.ints)
 
     @property
     def nonnegative(self) -> bool:
-        return all(c >= 0 for t in self.terms for c in t)
+        return min(map(min, self.ints), default=0) >= 0
 
     @property
     def nonincreasing(self) -> bool:
         """Weakly decreasing term sizes; only meaningful for scalar series."""
         if self.dim != 1:
             return False
-        return all(self.terms[i][0] >= self.terms[i + 1][0]
-                   for i in range(len(self.terms) - 1))
+        return all(a >= b for a, b in zip(self.ints, self.ints[1:]))
 
     def ctx(self) -> RationalSpace:
         return RationalSpace(self.dim, SUP)
@@ -66,46 +80,42 @@ def series_spec(terms: Iterable[TermLike], dim: Optional[int] = None) -> SeriesS
     ``dim`` fixes the dimension of an empty series (default 1); for a
     nonempty series it must agree with the terms if given.
     """
-    pts: List[Point] = []
-    for t in terms:
-        if isinstance(t, (tuple, list)):
-            pts.append(point(*t))
-        else:
-            pts.append((as_rat(t),))
+    pts = [point(*t) if isinstance(t, (tuple, list)) else (as_rat(t),) for t in terms]
     if not pts:
         if dim is not None and dim < 1:
             raise DomainError(f"dimension must be at least 1, got {dim}")
-        return SeriesSpec((), dim if dim is not None else 1)
+        return SeriesSpec(1, (), dim if dim is not None else 1)
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise DomainError(f"terms have mixed dimensions {sorted(dims)}")
     if dim is not None and dim != len(pts[0]):
         raise DomainError(f"terms have dimension {len(pts[0])}, not {dim}")
-    return SeriesSpec(tuple(pts), len(pts[0]))
+    grid = Grid.of(RationalSpace(len(pts[0])), pts)
+    return SeriesSpec(grid.scale, tuple(map(grid.to_int, pts)), len(pts[0]))
 
 
-def _subset_sums(ctx: RationalSpace, terms: Sequence[Point],
+def _subset_sums(ctx: RationalSpace, terms: Sequence[IntPoint], scale: int,
                  budget: Optional[int]) -> FiniteSet:
     check_budget_power(2, len(terms), budget)
-    return _subset_sums_cached(ctx, tuple(terms))
+    return _subset_sums_cached(ctx, tuple(terms), scale)
 
 
 @lru_cache(maxsize=128)
-def _subset_sums_cached(ctx: RationalSpace, terms: Tuple[Point, ...],
-                        menu: Tuple[Rat, ...] = (1,)) -> FiniteSet:
-    """All sums of c_n * t_n over the terms with each c_n either 0 or taken
-    from ``menu``: the subset sums for the menu (1,), the P-sums for the
-    nonzero coefficients of P.  The menu is part of the cache key."""
+def _subset_sums_cached(ctx: RationalSpace, terms: Tuple[IntPoint, ...],
+                        scale: int, menu: Tuple[int, ...] = (1,)) -> FiniteSet:
+    """All sums of c_n * t_n / scale over the grid terms t_n with each c_n
+    either 0 or taken from the integer ``menu``: the subset sums for the
+    menu (1,), the P-sums for the nonzero coefficients of P on their own
+    grid.  Every argument is part of the cache key."""
     # The budget check stays in the caller so a tight budget still raises
     # even when the enumeration happens to be cached.  FiniteSet is frozen,
     # so sharing one instance across callers is safe.
-    steps = [[tuple(c * x for x in t) for c in menu] for t in terms]
-    grid = Grid.of(ctx, *steps)
+    grid = Grid(ctx, scale)
     add = grid.add
     sums = {(0,) * ctx.dim}
-    for row in steps:
-        ints = [grid.to_int(p) for p in row]
-        sums |= {add(s, d) for d in ints for s in sums}
+    for t in terms:
+        steps = [tuple(c * x for x in t) for c in menu]
+        sums |= {add(s, d) for d in steps for s in sums}
     return grid.to_set(sums)
 
 
@@ -114,7 +124,7 @@ def initial_subsums(s: SeriesSpec, k: int,
     """F_k: sums over subsets of the first k terms.  F_0 = {0}."""
     if not 0 <= k <= s.count:
         raise DomainError(f"k must lie in [0, {s.count}], got {k}")
-    return _subset_sums(s.ctx(), s.terms[:k], budget)
+    return _subset_sums(s.ctx(), s.ints[:k], s.scale, budget)
 
 
 def remainder_subsums(s: SeriesSpec, k: int,
@@ -122,7 +132,7 @@ def remainder_subsums(s: SeriesSpec, k: int,
     """E_k: sums over subsets of the terms after position k.  E_N = {0}."""
     if not 0 <= k <= s.count:
         raise DomainError(f"k must lie in [0, {s.count}], got {k}")
-    return _subset_sums(s.ctx(), s.terms[k:], budget)
+    return _subset_sums(s.ctx(), s.ints[k:], s.scale, budget)
 
 
 def remainder_sum(s: SeriesSpec, k: int) -> Rat:
@@ -131,14 +141,14 @@ def remainder_sum(s: SeriesSpec, k: int) -> Rat:
         raise DomainError("remainder sums are defined for scalar series")
     if not 0 <= k <= s.count:
         raise DomainError(f"k must lie in [0, {s.count}], got {k}")
-    return sum((t[0] for t in s.terms[k:]), Fraction(0))
+    return Fraction(sum(x for (x,) in s.ints[k:]), s.scale)
 
 
 def achievement_set(s: SeriesSpec, budget: Optional[int] = None) -> FiniteSet:
     """E: all subset sums of a nonnegative series."""
     if not s.nonnegative:
         raise DomainError("achievement sets are defined for nonnegative terms")
-    return _subset_sums(s.ctx(), s.terms, budget)
+    return _subset_sums(s.ctx(), s.ints, s.scale, budget)
 
 
 # -- one-dimensional gaps -----------------------------------------------------
@@ -158,19 +168,21 @@ class Gap1D:
         return self.beta - self.alpha
 
 
+def _int_gaps(xs: Sequence[int]) -> Iterator[Tuple[int, int, bool]]:
+    """(lo, hi, dominating) for each pair of consecutive grid values."""
+    longest = 0
+    for lo, hi in zip(xs, xs[1:]):
+        yield lo, hi, hi - lo > longest
+        longest = max(longest, hi - lo)
+
+
 def find_gaps(E: FiniteSet) -> List[Gap1D]:
     """All gaps of a scalar set, left to right, with dominating flags."""
     if not isinstance(E.ctx, RationalSpace) or E.ctx.dim != 1:
         raise DomainError("gap scans need a one-dimensional rational set")
-    xs = [x for (x,) in E.ints]
-    rats = [Fraction(x, E.scale) for x in xs]
-    gaps: List[Gap1D] = []
-    longest = 0
-    for i in range(len(xs) - 1):
-        length = xs[i + 1] - xs[i]
-        gaps.append(Gap1D(rats[i], rats[i + 1], dominating=length > longest))
-        longest = max(longest, length)
-    return gaps
+    s = E.scale
+    return [Gap1D(Fraction(lo, s), Fraction(hi, s), dominating)
+            for lo, hi, dominating in _int_gaps([x for (x,) in E.ints])]
 
 
 def first_gap_check_1d(s: SeriesSpec, k: int,
@@ -188,15 +200,18 @@ def first_gap_check_1d(s: SeriesSpec, k: int,
         raise DomainError(f"k must lie in [1, {s.count}], got {k}")
     if not s.nonnegative:
         raise DomainError("nonnegative terms required")
-    a_k = s.terms[k - 1][0]
-    below = sum((t[0] for t in s.terms if t[0] < a_k), Fraction(0))
+    (a_k,) = s.ints[k - 1]
+    below = sum(x for (x,) in s.ints if x < a_k)
     if a_k <= below:
         return None
-    for gap in find_gaps(achievement_set(s, budget)):
-        if gap.alpha == below and gap.beta == a_k:
-            return gap
-    raise SpectreKitError(
-        f"predicted gap ({format_rat(below)}, {format_rat(a_k)}) is absent")
+    pts = achievement_set(s, budget).ints  # on the series' grid
+    i = bisect_left(pts, (below,))
+    if pts[i:i + 2] != ((below,), (a_k,)):
+        raise SpectreKitError(f"predicted gap ({format_scaled(below, s.scale)}, "
+                              f"{format_scaled(a_k, s.scale)}) is absent")
+    longest = max((q[0] - p[0] for p, q in zip(pts[:i], pts[1:i + 1])), default=0)
+    return Gap1D(Fraction(below, s.scale), Fraction(a_k, s.scale),
+                 dominating=a_k - below > longest)
 
 
 def third_gap_check(s: SeriesSpec, budget: Optional[int] = None) -> LemmaReport:
@@ -205,42 +220,30 @@ def third_gap_check(s: SeriesSpec, budget: Optional[int] = None) -> LemmaReport:
     Requires nonnegative, nonincreasing scalar terms."""
     if s.dim != 1 or not s.nonnegative or not s.nonincreasing:
         raise DomainError("nonnegative nonincreasing scalar terms required")
-    E = achievement_set(s, budget)
+    E = achievement_set(s, budget)  # on the series' grid
+    explains, tail = {}, 0  # (a_m, r_m) -> the least such m; r_m = a_{m+1} + ... + a_N
+    for m in range(s.count, 0, -1):
+        explains[(s.ints[m - 1][0], tail)] = m
+        tail += s.ints[m - 1][0]
+    S = s.scale
     items: List[CheckItem] = []
-    for gap in find_gaps(E):
-        if not gap.dominating:
+    for alpha, beta, dominating in _int_gaps([x for (x,) in E.ints]):
+        if not dominating:
             continue
-        label = f"dominating gap ({format_rat(gap.alpha)}, {format_rat(gap.beta)})"
-        hit = None
-        for m in range(1, s.count + 1):
-            if s.terms[m - 1][0] == gap.beta and remainder_sum(s, m) == gap.alpha:
-                hit = m
-                break
+        label = f"dominating gap ({format_scaled(alpha, S)}, {format_scaled(beta, S)})"
+        hit = explains.get((beta, alpha))
         if hit is None:
             items.append(CheckItem(label, False,
                                    "no index provides this term and tail sum"))
         else:
             items.append(CheckItem(label, True,
-                                   f"m={hit}: a_m={format_rat(gap.beta)}, "
-                                   f"tail={format_rat(gap.alpha)}"))
+                                   f"m={hit}: a_m={format_scaled(beta, S)}, "
+                                   f"tail={format_scaled(alpha, S)}"))
     note = "" if items else "no dominating gaps to check"
     return report("third-gap", items, note=note)
 
 
 # -- spectre behaviour of achievement sets ------------------------------------
-
-def _runs(values: Sequence[Rat]) -> List[Tuple[int, int]]:
-    """Maximal runs of equal consecutive values as (start index, length)."""
-    runs = []
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[j + 1] == values[i]:
-            j += 1
-        runs.append((i, j - i + 1))
-        i = j + 1
-    return runs
-
 
 def series_spectre_checks(s: SeriesSpec,
                           budget: Optional[int] = None) -> LemmaReport:
@@ -251,34 +254,37 @@ def series_spectre_checks(s: SeriesSpec,
     term magnitude lies in the center of distances; and the spectres of the
     initial and remainder sums form monotone chains inside S(E).
     """
-    ctx = s.ctx()
-    E = _subset_sums(ctx, s.terms, budget)
+    ctx, S = s.ctx(), s.scale
+    E = _subset_sums(ctx, s.ints, S, budget)
     SE = spectre(E)
+    member = set(Grid(ctx, S).ints(SE))  # S(E) lies in E - E, on the series' grid
     items: List[CheckItem] = []
 
-    for t in sorted(set(s.terms)):
-        items.append(CheckItem(
-            f"term {tuple(map(format_rat, t))} in S(E)", t in SE))
+    def show(t: IntPoint) -> str:
+        return str(tuple(format_scaled(c, S) for c in t))
 
-    for start, length in _runs(s.terms):
-        t = s.terms[start]
+    for t in sorted(set(s.ints)):
+        items.append(CheckItem(f"term {show(t)} in S(E)", t in member))
+
+    start = 1
+    for t, run in itertools.groupby(s.ints):
+        length = len(list(run))
         for j in range(2, (length + 1) // 2 + 1):
-            multiple = tuple(c * j for c in t)
             items.append(CheckItem(
-                f"run of {2 * j - 1} at index {start + 1}: "
-                f"{j} * {tuple(map(format_rat, t))} in S(E)",
-                multiple in SE))
+                f"run of {2 * j - 1} at index {start}: {j} * {show(t)} in S(E)",
+                tuple(c * j for c in t) in member))
+        start += length
 
     if s.dim == 1:
         # In one dimension C(E) is the nonnegative part of S(E), and S(E)
         # is symmetric, so |t| is in C(E) exactly when it is in S(E).
-        for t in sorted({abs(t[0]) for t in s.terms}):
+        for t in sorted({abs(x) for (x,) in s.ints}):
             items.append(CheckItem(
-                f"|term| {format_rat(t)} in C(E)", (t,) in SE))
+                f"|term| {format_scaled(t, S)} in C(E)", (t,) in member))
 
-    initial = [_subset_sums(ctx, s.terms[:k], budget)
+    initial = [_subset_sums(ctx, s.ints[:k], S, budget)
                for k in range(s.count + 1)]
-    remainder = [_subset_sums(ctx, s.terms[k:], budget)
+    remainder = [_subset_sums(ctx, s.ints[k:], S, budget)
                  for k in range(s.count + 1)]
     spectres_f = [spectre(F) for F in initial]
     spectres_e = [spectre(Ek) for Ek in remainder]

@@ -170,6 +170,23 @@ class SetVerdict:
         return self.ok
 
 
+def _first_shared_pair(A: FiniteSet, key: Callable[[IntPoint, IntPoint], object],
+                       value: Callable, reason: str) -> SetVerdict:
+    """Fail on the first pair of point pairs, in combination order, whose
+    ``key`` agrees with an earlier pair's; pass when all keys differ."""
+    pts = A.ints
+    seen = {}
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        k = key(pts[i], pts[j])
+        if k in seen:
+            a, b = seen[k]
+            e = A.elements
+            return SetVerdict(False, PairWitness((e[a], e[b]), (e[i], e[j]), value(k)),
+                              reason)
+        seen[k] = (i, j)
+    return SetVerdict(True)
+
+
 def is_net_set(A: FiniteSet) -> SetVerdict:
     """A net-set has at least three elements and no two distinct 2-element
     subsets whose differences agree up to sign.  Net-sets have trivial
@@ -177,43 +194,22 @@ def is_net_set(A: FiniteSet) -> SetVerdict:
     if len(A) < 3:
         return SetVerdict(False, reason="a net-set needs at least three elements")
     grid = Grid.of(A.ctx, A)
-    pts = A.ints
-    seen = {}
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        diff = grid.sub(pts[i], pts[j])
-        canon = max(diff, grid.neg(diff))
-        if canon in seen:
-            a, b = seen[canon]
-            witness = PairWitness(
-                pair_a=(A.elements[a], A.elements[b]),
-                pair_b=(A.elements[i], A.elements[j]),
-                shared_value=grid.to_set([canon]).elements[0],
-            )
-            return SetVerdict(False, witness=witness,
-                              reason="two pairs share a difference up to sign")
-        seen[canon] = (i, j)
-    return SetVerdict(True)
+
+    def difference_class(p: IntPoint, q: IntPoint) -> IntPoint:
+        d = grid.sub(p, q)
+        return max(d, grid.neg(d))
+
+    return _first_shared_pair(A, difference_class,
+                              lambda d: grid.to_set([d]).elements[0],
+                              "two pairs share a difference up to sign")
 
 
 def is_non_sliding(A: FiniteSet) -> SetVerdict:
     """A is non-sliding when every positive distance between its points is
     realized by exactly one unordered pair."""
     grid = Grid.of(A.ctx, A)
-    pts = A.ints
-    seen = {}
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        raw = grid.dist(pts[i], pts[j])
-        if raw in seen:
-            a, b = seen[raw]
-            witness = PairWitness(
-                pair_a=(A.elements[a], A.elements[b]),
-                pair_b=(A.elements[i], A.elements[j]),
-                shared_value=grid.dist_value(raw),
-            )
-            return SetVerdict(False, witness=witness,
-                              reason="two pairs realize the same distance")
-        seen[raw] = (i, j)
-    return SetVerdict(True)
+    return _first_shared_pair(A, grid.dist, grid.dist_value,
+                              "two pairs realize the same distance")
 
 
 def min_positive_distance(A: FiniteSet) -> Optional[DistValue]:

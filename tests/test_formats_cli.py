@@ -352,7 +352,9 @@ class TestCliContract:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_internal_failure_exits_four(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("spectrekit.series.find_gaps", lambda E: [])
+        # An achievement set without the predicted gap (5/16, 1): 1 is missing.
+        monkeypatch.setattr("spectrekit.series.achievement_set",
+                            lambda s, budget=None: finite_set(Q1, [point(0), point("5/16")]))
         path = write(tmp_path, "s.json", encode_series(series_spec(["1", "1/4", "1/16"])))
         assert run(["series", "first-gap", "--k", "1", "--series", path]) == 4
         captured = capsys.readouterr()

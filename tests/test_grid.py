@@ -4,7 +4,8 @@ Each kernel that computes on ``groups.Grid`` is compared with the naive
 ``Fraction`` routes in ``oracles.py`` over Q^1, Q^2 under each metric, and
 Z_a x Z_b.  A FiniteSet stores its points on a grid, so its equality,
 hashing, membership and encoding are compared with the same questions asked
-of its ``Fraction`` points.
+of its ``Fraction`` points.  A SeriesSpec is stored the same way, and its
+achievement set shares its scale.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import oracles
 from spectrekit import (
     FiniteAbelian,
     RationalSpace,
+    achievement_set,
     achievement_set_2d,
     difference_set,
     dist,
@@ -146,6 +148,37 @@ def test_scale_shrinks_when_denominators_cancel():
     assert_canonical(total, finite_set(Q1, [(1,), (2,), (3,)]))
 
 
+def test_equal_series_have_equal_fields():
+    s, t = series_spec(["1/2", "2/4"]), series_spec(["1/2", "1/2"])
+    assert s == t and hash(s) == hash(t)
+    assert (s.scale, s.ints) == (2, ((1,), (1,)))
+    assert series_spec([("3/6", "0")]) == series_spec([("1/2", "0/5")])
+    assert series_spec([], dim=2) != series_spec([])
+
+
+series_terms = st.integers(1, 2).flatmap(
+    lambda d: st.lists(st.tuples(*[rats] * d), max_size=6))
+nonneg_terms = st.integers(1, 2).flatmap(lambda d: st.lists(
+    st.tuples(*[st.just(Fraction(0)) | st.fractions(0, 2, max_denominator=16)] * d),
+    max_size=8))
+
+
+@given(series_terms)
+def test_series_terms_round_trip(terms):
+    s = series_spec(terms)
+    assert s.terms == tuple(tuple(Fraction(c) for c in t) for t in terms)
+    assert series_spec(s.terms, dim=s.dim) == s
+    assert s.scale == math.lcm(1, *(c.denominator for t in terms for c in t))
+
+
+@given(nonneg_terms)
+def test_achievement_set_has_the_series_scale(terms):
+    s = series_spec(terms)
+    E = achievement_set(s)
+    assert E.scale == s.scale
+    assert elements(E) == oracles.naive_subset_sums(terms)
+
+
 @st.composite
 def membership_probes(draw, ctx, A):
     """Points of A, other points of the context, points off A's grid,
@@ -172,6 +205,18 @@ def test_membership_agrees_with_the_rational_points(case, data):
     members = frozenset(A.elements)
     for q in data.draw(membership_probes(ctx, A)):
         assert (q in A) == (q in members), q
+
+
+@given(ctx_with_sets(1), st.data())
+def test_contains_int_agrees_with_the_rational_points(case, data):
+    ctx, pts = case
+    A = difference_set(finite_set(ctx, pts))
+    members = frozenset(A.elements)
+    for q in data.draw(membership_probes(ctx, A)):
+        if len(q) == ctx.dim:
+            scale = math.lcm(*(Fraction(c).denominator for c in q)) * data.draw(st.integers(1, 5))
+            ints = tuple(int(Fraction(c) * scale) for c in q)
+            assert A.contains_int(ints, scale) == (q in members), (q, scale)
 
 
 @given(ctx_with_sets(2))

@@ -230,8 +230,6 @@ class TestSecondGapLemma2D:
             E = achievement_set_2d(s)
             for g in rect_gaps(E):
                 report = second_gap_lemma_2d(s, g)
-                if "inapplicable" in report.note:
-                    continue
                 assert report.passed, (s.terms, g, report.failures())
 
 

@@ -258,6 +258,15 @@ class TestFirstGap1D:
                 if gap is not None:
                     assert (gap.alpha, gap.beta) in detected
 
+    def test_prediction_carries_the_detected_dominating_flag(self):
+        r = random.Random(408)
+        for _ in range(200):
+            s = rand_series(r, max_terms=8, max_den=4)
+            gaps = find_gaps(achievement_set(s))
+            for k in range(1, s.count + 1):
+                gap = first_gap_check_1d(s, k)
+                assert gap is None or gap in gaps, (s.terms, k)
+
 
 class TestSeriesSpectreChecks:
     def test_equal_run_example(self):

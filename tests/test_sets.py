@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -21,7 +22,6 @@ from spectrekit import (
     dist,
     distance_set,
     finite_set,
-    group_add,
     hausdorff,
     is_net_set,
     is_non_sliding,
@@ -281,6 +281,34 @@ class TestStructuralCheckers:
         for _ in range(150):
             A = rand_qset(r, size=r.randint(1, 6), max_den=4)
             assert is_net_set(A).ok == oracles.naive_is_net(A.elements)
+
+    def test_witnesses_are_the_first_repeated_pair(self):
+        r = random.Random(214)
+        for _ in range(300):
+            if r.random() < 0.3:
+                A = rand_finab_set(r, rand_finab_ctx(r))
+                sub = partial(oracles.mod_sub, moduli=A.ctx.moduli)
+                dist = partial(oracles.torus_dist, moduli=A.ctx.moduli)
+            else:
+                A = rand_qset(r, size=r.randint(3, 7), max_den=3)
+                sub, dist = oracles.q_sub, oracles.sup_dist
+            for check, key in ((is_net_set, lambda p, q: max(sub(p, q), sub(q, p))),
+                               (is_non_sliding, dist)):
+                verdict = check(A)
+                if check is is_net_set and len(A) < 3:
+                    assert verdict.witness is None
+                    continue
+                seen, want = {}, None
+                for pair in itertools.combinations(A.elements, 2):
+                    k = key(*pair)
+                    if k in seen:
+                        want = (seen[k], pair, k)
+                        break
+                    seen[k] = pair
+                w = verdict.witness
+                got = None if w is None else (w.pair_a, w.pair_b, getattr(
+                    w.shared_value, "value", w.shared_value))
+                assert got == want and verdict.ok == (want is None), (A.elements, check)
 
     def test_net_sets_have_trivial_spectre(self):
         r = random.Random(212)
