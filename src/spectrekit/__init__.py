@@ -40,7 +40,6 @@ from .planar import (
 )
 from .psums import (
     DemoReport,
-    GapTranslationResult,
     PSpec,
     cantor_pair_demo,
     gap_translation_check,

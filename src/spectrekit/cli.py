@@ -41,7 +41,7 @@ from .formats import (
     encode_set,
     load_path,
 )
-from .groups import DistValue, FiniteAbelian
+from .groups import DistValue
 from .hyperspace import hausdorff, probe_spectre_continuity, refute_spectre_image
 from .planar import (
     AxisGap,
@@ -268,16 +268,7 @@ def _cmd_probe(ns: argparse.Namespace) -> Result:
 
 
 def _cmd_refute_image(ns: argparse.Namespace) -> Result:
-    target = _load_set(ns.target)
-    if ns.group is not None:
-        moduli = [int(m) for m in ns.group.split(",")]
-        ctx = FiniteAbelian(tuple(moduli))
-        if ctx != target.ctx:
-            raise GroupMismatchError(
-                f"--group {ns.group} does not match the target's group")
-    else:
-        ctx = target.ctx
-    result = refute_spectre_image(ctx, target, budget=ns.budget)
+    result = refute_spectre_image(_load_set(ns.target), budget=ns.budget)
     witness = None if result.witness is None else encode_set(result.witness)["points"]
     obj = {"found": result.found, "scanned": result.scanned, "witness": witness}
     rows = [["found", result.found, result.scanned]]
@@ -369,10 +360,9 @@ def _cmd_psum_enumerate(ns: argparse.Namespace) -> Result:
 def _cmd_psum_translate(ns: argparse.Namespace) -> Result:
     T = psum_set(decode_pspec(load_path(ns.pspec)), budget=ns.budget)
     a, b = _parse_rat_list(ns.gap, 2, "--gap")
-    result = gap_translation_check(T, (a, b))
-    epsilon = format_rat(result.epsilon)
-    obj = {"ok": result.ok, "epsilon": epsilon}
-    return obj, [["ok", result.ok, epsilon]], 0
+    # The check raises unless (a, b) is a gap, and a gap's radius is positive.
+    epsilon = format_rat(gap_translation_check(T, (a, b)))
+    return {"ok": True, "epsilon": epsilon}, [["ok", True, epsilon]], 0
 
 
 def _cmd_psum_demo(ns: argparse.Namespace) -> Result:
@@ -430,11 +420,8 @@ COMMANDS: Tuple[Command, ...] = (
             help="Hausdorff distance between two sets"),
     Command("probe continuity", _cmd_probe, (SET, _file("--family"), EPS)),
     Command("probe usc", _cmd_probe, (SET, _file("--family"), EPS)),
-    Command("refute-image", _cmd_refute_image,
-            (_file("--target"),
-             ("--group", {"metavar": "M1,M2,...",
-                          "help": "moduli of the group to scan (default: the target's)"})),
-            help="scan a finite group for a set with the given spectre"),
+    Command("refute-image", _cmd_refute_image, (_file("--target"),),
+            help="scan the target's finite group for a set with that spectre"),
     Command("series enumerate", _cmd_series_enumerate, (SERIES,)),
     Command("series gaps", _cmd_series_gaps, (SERIES,)),
     Command("series third-gap", _cmd_series_third_gap, (SERIES,)),

@@ -164,9 +164,6 @@ def decode_series(obj: Any) -> SeriesSpec:
                                for j, c in enumerate(entry)))
         else:
             terms.append((_decode_rat(entry, f"terms[{i}]"),))
-    dims = {len(t) for t in terms}
-    if len(dims) > 1:
-        raise ParseError(f"terms have mixed dimensions {sorted(dims)}")
     dim = doc.get("dim")
     if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)):
         raise ParseError("dim must be an integer")
@@ -203,7 +200,7 @@ def load_path(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None

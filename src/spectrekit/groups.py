@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from operator import add, mod, neg, sub
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, GroupMismatchError
 from .rational import Point, Rat
@@ -188,10 +189,18 @@ def subgroup_generated(ctx: FiniteAbelian, x: Point):
 # -- the integer grid ---------------------------------------------------------
 
 _INT_METRICS = {
-    SUP: lambda p, q: max(abs(a - b) for a, b in zip(p, q)),
-    TAXICAB: lambda p, q: sum(abs(a - b) for a, b in zip(p, q)),
-    EUCLIDEAN_SQUARED: lambda p, q: sum((a - b) * (a - b) for a, b in zip(p, q)),
+    SUP: lambda p, q: max(map(abs, map(sub, p, q))),
+    TAXICAB: lambda p, q: sum(map(abs, map(sub, p, q))),
+    EUCLIDEAN_SQUARED: lambda p, q: sum(d * d for d in map(sub, p, q)),
 }
+
+
+def to_grid(p: Sequence[Rat], scale: int) -> Optional[IntPoint]:
+    """The coordinates of ``p`` times ``scale`` as integers, or None when one
+    of them is not a rational whose denominator divides ``scale``."""
+    if not all(isinstance(c, Rational) and scale % c.denominator == 0 for c in p):
+        return None
+    return tuple(c.numerator * (scale // c.denominator) for c in p)
 
 
 class Grid:
@@ -212,25 +221,17 @@ class Grid:
         if isinstance(ctx, FiniteAbelian):
             ms = self.moduli = ctx.moduli
             self.metric = None
-            self.add = lambda p, q: tuple((a + b) % m for a, b, m in zip(p, q, ms))
-            self.sub = lambda p, q: tuple((a - b) % m for a, b, m in zip(p, q, ms))
-            self.neg = lambda p: tuple(-a % m for a, m in zip(p, ms))
-
-            def torus(p: IntPoint, q: IntPoint) -> int:
-                worst = 0
-                for a, b, m in zip(p, q, ms):
-                    r = (a - b) % m
-                    wrap = min(r, m - r)
-                    if wrap > worst:
-                        worst = wrap
-                return worst
-
-            self.dist = torus
+            self.add = lambda p, q: tuple(map(mod, map(add, p, q), ms))
+            self.sub = lambda p, q: tuple(map(mod, map(sub, p, q), ms))
+            self.neg = lambda p: tuple(map(mod, map(neg, p), ms))
+            # The torus metric: per coordinate the shorter way round, min(r, m - r).
+            self.dist = lambda p, q: max(map(min, map(mod, map(sub, p, q), ms),
+                                             map(mod, map(sub, q, p), ms)))
         else:
             self.moduli, self.metric = None, ctx.metric
-            self.add = lambda p, q: tuple(a + b for a, b in zip(p, q))
-            self.sub = lambda p, q: tuple(a - b for a, b in zip(p, q))
-            self.neg = lambda p: tuple(-a for a in p)
+            self.add = lambda p, q: tuple(map(add, p, q))
+            self.sub = lambda p, q: tuple(map(sub, p, q))
+            self.neg = lambda p: tuple(map(neg, p))
             self.dist = _INT_METRICS[ctx.metric]
 
     @classmethod
@@ -298,11 +299,10 @@ class FiniteSet:
     def __contains__(self, p: Point) -> bool:
         """Whether ``p`` is a point of the set.  A tuple of the wrong length,
         a coordinate off this set's grid, or an unreduced residue is not."""
-        s = self.scale
-        if not (isinstance(p, tuple) and len(p) == self.ctx.dim and all(
-                isinstance(c, Rational) and s % c.denominator == 0 for c in p)):
+        if not (isinstance(p, tuple) and len(p) == self.ctx.dim):
             return False
-        return self.contains_int(tuple(c.numerator * (s // c.denominator) for c in p), s)
+        q = to_grid(p, self.scale)
+        return q is not None and self.contains_int(q, self.scale)
 
     def contains_int(self, q: IntPoint, scale: int) -> bool:
         """Whether the point q / scale, given on any integer grid, is in the set."""

@@ -7,6 +7,9 @@ computation cannot certify; what it can do is probe a convergent family and
 report either a persistent lower bound on the spectre displacement (a
 discontinuity witness) or its absence.  The report states which of the two
 happened and never claims more.
+
+Image refutation asks whether a target set is a spectre at all, by scanning
+every nonempty subset of the target's own finite group.
 """
 
 from __future__ import annotations
@@ -168,15 +171,15 @@ class RefuteResult:
     scanned: int
 
 
-def refute_spectre_image(ctx: FiniteAbelian, target: FiniteSet,
+def refute_spectre_image(target: FiniteSet,
                          budget: Optional[int] = None) -> RefuteResult:
-    """Search all nonempty subsets of a finite Abelian group for one whose
-    spectre is ``target``.  Subsets are visited in mask order over the
-    lexicographically sorted group elements, so the witness, when one exists,
-    is deterministic."""
+    """Search all nonempty subsets of the target's own finite Abelian group
+    for one whose spectre is ``target``.  Subsets are visited in mask order
+    over the lexicographically sorted group elements, so the witness, when
+    one exists, is deterministic."""
+    ctx = target.ctx
     if not isinstance(ctx, FiniteAbelian):
         raise DomainError("image refutation scans a finite Abelian group")
-    require_same_ctx(ctx, target.ctx)
     order = ctx.order()
     check_budget_power(2, order, budget)
     grid = Grid.of(ctx)

@@ -21,11 +21,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .errors import DomainError
-from .groups import IntPoint, RationalSpace
+from .groups import IntPoint, RationalSpace, to_grid
 from .rational import Point, Rat, format_scaled
 from .reports import CheckItem, LemmaReport, report
 from .series import SeriesSpec, _subset_sums, series_spec
@@ -79,7 +78,7 @@ def achievement_set_2d(s: SeriesSpec, budget: Optional[int] = None) -> FiniteSet
         raise DomainError("planar enumeration needs two-dimensional terms")
     if not s.nonnegative:
         raise DomainError("achievement sets are defined for nonnegative terms")
-    return _subset_sums(s.ctx(), s.ints, s.scale, budget)
+    return _subset_sums(s.ctx, s.ints, s.scale, budget)
 
 
 def axis_gaps(E: FiniteSet) -> List[AxisGap]:
@@ -133,11 +132,8 @@ def is_rect_gap(E: FiniteSet, a: Rat, b: Rat, c: Rat, d: Rat) -> bool:
 def _grid_corners(scale: int, a: Rat, b: Rat, c: Rat,
                   d: Rat) -> Optional[Tuple[IntPoint, IntPoint]]:
     """The corners (a, c) and (b, d) times ``scale``, or None if off that grid."""
-    if not all(isinstance(v, Rational) and scale % v.denominator == 0
-               for v in (a, b, c, d)):
-        return None
-    a, b, c, d = (v.numerator * (scale // v.denominator) for v in (a, b, c, d))
-    return (a, c), (b, d)
+    corners = to_grid((a, c, b, d), scale)
+    return None if corners is None else (corners[:2], corners[2:])
 
 
 def _is_grid_rect_gap(E: FiniteSet, lower: IntPoint, upper: IntPoint) -> bool:
@@ -203,7 +199,7 @@ def first_gap_lemma_2d(s: SeriesSpec, k: int,
     return report("first-gap-2d", items)
 
 
-def second_gap_lemma_2d(s: SeriesSpec, gap: Union[RectGap, Tuple[Rat, Rat, Rat, Rat]],
+def second_gap_lemma_2d(s: SeriesSpec, gap: RectGap,
                         budget: Optional[int] = None) -> LemmaReport:
     """Decompose the corners of a rectangular gap of a planar achievement set.
 
@@ -216,10 +212,9 @@ def second_gap_lemma_2d(s: SeriesSpec, gap: Union[RectGap, Tuple[Rat, Rat, Rat, 
         raise DomainError("two-dimensional terms required")
     if not s.nonnegative:
         raise DomainError("nonnegative terms required")
-    g = gap if isinstance(gap, RectGap) else RectGap(*gap)
     E = achievement_set_2d(s, budget)  # on the series' grid
     S = s.scale
-    corners = _grid_corners(S, g.a, g.b, g.c, g.d)
+    corners = _grid_corners(S, gap.a, gap.b, gap.c, gap.d)
     items: List[CheckItem] = []
     if corners is None or not _is_grid_rect_gap(E, *corners):
         items.append(CheckItem("input rectangle is a gap of E", False,
@@ -231,7 +226,7 @@ def second_gap_lemma_2d(s: SeriesSpec, gap: Union[RectGap, Tuple[Rat, Rat, Rat, 
     # Some term reaches the gap size: otherwise (a, c) plus any term outside
     # its index set would be a third point of E in the rectangle.
     k = max(n for n, (x, y) in enumerate(s.ints, 1) if x >= b - a or y >= d - c)
-    F_k = _subset_sums(s.ctx(), s.ints[:k], S, budget)
+    F_k = _subset_sums(s.ctx, s.ints[:k], S, budget)
     items.append(CheckItem(
         f"upper corner in F_{k}", F_k.contains_int((b, d), S),
         f"corner ({format_scaled(b, S)}, {format_scaled(d, S)})"))

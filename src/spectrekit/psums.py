@@ -6,8 +6,8 @@ the case P = {0, 1}, and both come from the same grid enumerator.  For a gap
 (a, b) of such a set T, the translation predicate at radius eps asks whether
 shifting the initial segment T in [0, eps] by b reproduces T in [b, b + eps]
 exactly.  It holds exactly on [0, e*), where e* is the least defect of the
-gap, so the checker reports e*: the supremum of the working radii, not
-attained.
+gap, so the checker returns e* alone: the supremum of the working radii,
+not attained, and always positive since max(T) is a defect.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import DomainError, check_budget_power
-from .groups import RationalSpace
+from .groups import RationalSpace, to_grid
 from .rational import Rat, RatLike, as_rat
 from .series import _subset_sums_cached, series_spec
 from .sets import FiniteSet, finite_set
@@ -59,26 +59,16 @@ def psum_set(spec: PSpec, budget: Optional[int] = None) -> FiniteSet:
                                tuple(c for (c,) in menu.ints))
 
 
-@dataclass(frozen=True)
-class GapTranslationResult:
-    """The gap-translation predicate holds exactly for the radii in
-    [0, epsilon): ``epsilon`` is their supremum, not attained.  ``ok`` says
-    that this interval is nonempty, which every gap of a valid set satisfies."""
-
-    ok: bool
-    epsilon: Rat
-
-
-def gap_translation_check(T: FiniteSet,
-                          gap: Tuple[RatLike, RatLike]) -> GapTranslationResult:
+def gap_translation_check(T: FiniteSet, gap: Tuple[RatLike, RatLike]) -> Rat:
     """The least defect e* of a gap (a, b) of T, found in one hash-set pass.
 
     The predicate at radius eps:  b + (T in [0, eps]) == T in [b, b + eps].
     A defect is a positive x in T with b + x not in T, or y - b for a y > b
     in T with y - b not in T.  The predicate holds at eps exactly when no
     defect lies in (0, eps], so it holds on [0, e*) and fails from e* on.
-    max(T) is always a defect, so e* exists.  T must contain 0 and (a, b)
-    must be a gap: both endpoints in T with nothing strictly between.
+    max(T) is always a defect, so e* exists and is positive.  T must contain
+    0 and (a, b) must be a gap: both endpoints in T with nothing strictly
+    between.
     """
     if not isinstance(T.ctx, RationalSpace) or T.ctx.dim != 1:
         raise DomainError("a one-dimensional rational set is required")
@@ -86,16 +76,17 @@ def gap_translation_check(T: FiniteSet,
     if xs[0] != 0:
         raise DomainError("the set must contain 0 as its minimum")
     a, b = as_rat(gap[0]), as_rat(gap[1])
-    i = bisect_left(xs, a * T.scale)
-    if (a,) not in T or (b,) not in T or not a < b or xs[i + 1] != b * T.scale:
+    ends = to_grid((a, b), T.scale)
+    i = bisect_left(xs, ends[0]) if ends else 0
+    # On the grid, a gap is two consecutive points of xs.
+    if ends is None or xs[i:i + 2] != list(ends):
         raise DomainError(f"({a}, {b}) is not a gap of the set")
-    bi = xs[i + 1]
+    bi = ends[1]
 
     members = set(xs)
     defects = [x for x in xs if x > 0 and bi + x not in members]
     defects.extend(y - bi for y in xs if y > bi and y - bi not in members)
-    least = min(defects)
-    return GapTranslationResult(least > 0, Fraction(least, T.scale))
+    return Fraction(min(defects), T.scale)
 
 
 # -- the paired-Cantor demonstration ------------------------------------------
@@ -146,7 +137,7 @@ def cantor_pair_demo(levels: int) -> DemoReport:
         raise DomainError(f"levels must lie in [1, {_MAX_DEMO_LEVELS}]")
     rows: List[Tuple[int, Rat]] = []
     for m in range(levels + 1):
-        rows.append((m, gap_translation_check(demo_level_set(m), _DEMO_GAP).epsilon))
+        rows.append((m, gap_translation_check(demo_level_set(m), _DEMO_GAP)))
     decreasing = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
     return DemoReport(
         rows=tuple(rows),

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SpectreKitError, check_budget_power
-from .groups import SUP, Grid, IntPoint, RationalSpace
+from .groups import Grid, IntPoint, RationalSpace
 from .rational import Point, Rat, RatLike, as_rat, format_scaled, point
 from .reports import CheckItem, LemmaReport, report
 from .sets import FiniteSet, spectre
@@ -33,10 +33,10 @@ TermLike = Union[RatLike, Sequence[RatLike]]
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Terms of a finite-support series, each a point of a fixed dimension:
-    ``ints[n]`` is term n times ``scale``, the lcm of the reduced term
-    denominators (1 for no terms), so equal series have equal fields.
-    ``terms`` builds the ``Fraction`` tuples when asked.
+    """Terms of a finite-support series, each a point of ``ctx``, the space
+    Q^dim under the sup metric: ``ints[n]`` is term n times ``scale``, the
+    lcm of the reduced term denominators (1 for no terms), so equal series
+    have equal fields.  ``terms`` builds the ``Fraction`` tuples when asked.
 
     An empty term list is allowed (the zero series); its dimension is
     whatever the factory was told, defaulting to 1.
@@ -44,7 +44,7 @@ class SeriesSpec:
 
     scale: int
     ints: Tuple[IntPoint, ...]
-    _dim: int = 1
+    ctx: RationalSpace
 
     @cached_property
     def terms(self) -> Tuple[Point, ...]:
@@ -53,13 +53,13 @@ class SeriesSpec:
 
     @property
     def dim(self) -> int:
-        return len(self.ints[0]) if self.ints else self._dim
+        return self.ctx.dim
 
     @property
     def count(self) -> int:
         return len(self.ints)
 
-    @property
+    @cached_property
     def nonnegative(self) -> bool:
         return min(map(min, self.ints), default=0) >= 0
 
@@ -70,9 +70,6 @@ class SeriesSpec:
             return False
         return all(a >= b for a, b in zip(self.ints, self.ints[1:]))
 
-    def ctx(self) -> RationalSpace:
-        return RationalSpace(self.dim, SUP)
-
 
 def series_spec(terms: Iterable[TermLike], dim: Optional[int] = None) -> SeriesSpec:
     """Normalize scalars or coordinate sequences into a SeriesSpec.
@@ -82,16 +79,14 @@ def series_spec(terms: Iterable[TermLike], dim: Optional[int] = None) -> SeriesS
     """
     pts = [point(*t) if isinstance(t, (tuple, list)) else (as_rat(t),) for t in terms]
     if not pts:
-        if dim is not None and dim < 1:
-            raise DomainError(f"dimension must be at least 1, got {dim}")
-        return SeriesSpec(1, (), dim if dim is not None else 1)
+        return SeriesSpec(1, (), RationalSpace(1 if dim is None else dim))
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise DomainError(f"terms have mixed dimensions {sorted(dims)}")
     if dim is not None and dim != len(pts[0]):
         raise DomainError(f"terms have dimension {len(pts[0])}, not {dim}")
     grid = Grid.of(RationalSpace(len(pts[0])), pts)
-    return SeriesSpec(grid.scale, tuple(map(grid.to_int, pts)), len(pts[0]))
+    return SeriesSpec(grid.scale, tuple(map(grid.to_int, pts)), grid.ctx)
 
 
 def _subset_sums(ctx: RationalSpace, terms: Sequence[IntPoint], scale: int,
@@ -124,7 +119,7 @@ def initial_subsums(s: SeriesSpec, k: int,
     """F_k: sums over subsets of the first k terms.  F_0 = {0}."""
     if not 0 <= k <= s.count:
         raise DomainError(f"k must lie in [0, {s.count}], got {k}")
-    return _subset_sums(s.ctx(), s.ints[:k], s.scale, budget)
+    return _subset_sums(s.ctx, s.ints[:k], s.scale, budget)
 
 
 def remainder_subsums(s: SeriesSpec, k: int,
@@ -132,7 +127,7 @@ def remainder_subsums(s: SeriesSpec, k: int,
     """E_k: sums over subsets of the terms after position k.  E_N = {0}."""
     if not 0 <= k <= s.count:
         raise DomainError(f"k must lie in [0, {s.count}], got {k}")
-    return _subset_sums(s.ctx(), s.ints[k:], s.scale, budget)
+    return _subset_sums(s.ctx, s.ints[k:], s.scale, budget)
 
 
 def remainder_sum(s: SeriesSpec, k: int) -> Rat:
@@ -148,7 +143,7 @@ def achievement_set(s: SeriesSpec, budget: Optional[int] = None) -> FiniteSet:
     """E: all subset sums of a nonnegative series."""
     if not s.nonnegative:
         raise DomainError("achievement sets are defined for nonnegative terms")
-    return _subset_sums(s.ctx(), s.ints, s.scale, budget)
+    return _subset_sums(s.ctx, s.ints, s.scale, budget)
 
 
 # -- one-dimensional gaps -----------------------------------------------------
@@ -254,7 +249,7 @@ def series_spectre_checks(s: SeriesSpec,
     term magnitude lies in the center of distances; and the spectres of the
     initial and remainder sums form monotone chains inside S(E).
     """
-    ctx, S = s.ctx(), s.scale
+    ctx, S = s.ctx, s.scale
     E = _subset_sums(ctx, s.ints, S, budget)
     SE = spectre(E)
     member = set(Grid(ctx, S).ints(SE))  # S(E) lies in E - E, on the series' grid

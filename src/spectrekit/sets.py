@@ -88,8 +88,8 @@ def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> F
         candidates = itertools.product(*(range(m) for m in grid.moduli))
     elif mode == "oracle":
         check_budget(len(pts) ** 2, budget)
+        # A - A is symmetric, so it already holds -z for each of its z.
         candidates = {grid.sub(p, q) for p in pts for q in pts}
-        candidates.update(grid.neg(c) for c in list(candidates))
     return grid.to_set(spectre_ints(grid, pts, candidates))
 
 

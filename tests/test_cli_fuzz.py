@@ -94,8 +94,6 @@ values = {
     "--rect": rat_list(4),
     "--gap": rat_list(2),
     "--levels": mostly(st.integers(1, 5), st.sampled_from([-1, 0, 9, "x"])),
-    "--group": mostly(st.sampled_from(["5", "2,3"]),
-                      st.sampled_from(["7", "0", "-3", "x", ""])),
 }
 
 

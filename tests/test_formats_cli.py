@@ -176,8 +176,7 @@ class TestCliCore:
     def test_refute_image(self, tmp_path, capsys):
         ctx = FiniteAbelian((7,))
         target = finite_set(ctx, [point(0), point(1), point(3)])
-        code = run(["refute-image", "--group", "7",
-                    "--target", write(tmp_path, "t.json", encode_set(target))])
+        code = run(["refute-image", "--target", write(tmp_path, "t.json", encode_set(target))])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["found"] is False
@@ -342,14 +341,25 @@ class TestCliContract:
     def test_removed_flags_are_usage_errors(self, tmp_path, capsys, flag):
         assert run(["spectre", "--set", sym3_path(tmp_path), flag, "1"]) == 2
 
+    def test_refute_image_has_no_group_option(self, tmp_path, capsys):
+        # The scanned group is the target's own, so there is nothing to restate.
+        target = finite_set(FiniteAbelian((7,)), [point(0), point(1), point(3)])
+        path = write(tmp_path, "t.json", encode_set(target))
+        assert run(["refute-image", "--group", "7", "--target", path]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_malformed_file(self, tmp_path, capsys):
-        for name, text in (("bad.json", "{not json"),
-                           ("deep.json", "[" * 100000 + "]" * 100000)):
-            path = write(tmp_path, name, text)
-            assert run(["spectre", "--set", path]) == 2
+        for name, data in (("bad.json", b"{not json"),
+                           ("deep.json", b"[" * 100000 + b"]" * 100000),
+                           ("ff.json", b"\xff"),  # not UTF-8
+                           ("inner.json", b'{"group": "\xff"}')):
+            path = tmp_path / name
+            path.write_bytes(data)
+            assert run(["spectre", "--set", str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert str(path) in captured.err
 
     def test_internal_failure_exits_four(self, tmp_path, capsys, monkeypatch):
         # An achievement set without the predicted gap (5/16, 1): 1 is missing.

@@ -1,11 +1,11 @@
 """Differential tests for the integer grid behind every set kernel.
 
 Each kernel that computes on ``groups.Grid`` is compared with the naive
-``Fraction`` routes in ``oracles.py`` over Q^1, Q^2 under each metric, and
-Z_a x Z_b.  A FiniteSet stores its points on a grid, so its equality,
-hashing, membership and encoding are compared with the same questions asked
-of its ``Fraction`` points.  A SeriesSpec is stored the same way, and its
-achievement set shares its scale.
+``Fraction`` routes in ``oracles.py`` over Q^1, Q^2 under each metric, Q^3
+under the taxicab metric, Z_a and Z_a x Z_b.  A FiniteSet stores its points
+on a grid, so its equality, hashing, membership and encoding are compared
+with the same questions asked of its ``Fraction`` points.  A SeriesSpec is
+stored the same way, and its achievement set shares its scale.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from spectrekit.groups import EUCLIDEAN_SQUARED, SUP, TAXICAB, Grid
 from spectrekit.planar import is_rect_gap
 
 RATIONAL_CTXS = [RationalSpace(1), RationalSpace(2, SUP),
-                 RationalSpace(2, TAXICAB), RationalSpace(2, EUCLIDEAN_SQUARED)]
+                 RationalSpace(2, TAXICAB), RationalSpace(2, EUCLIDEAN_SQUARED),
+                 RationalSpace(3, TAXICAB)]
 
 ORACLE_METRICS = {SUP: oracles.sup_dist, TAXICAB: oracles.taxicab_dist,
                   EUCLIDEAN_SQUARED: oracles.eucl_sq_dist}
@@ -50,7 +51,7 @@ rats = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 def ctxs(draw):
     if draw(st.booleans()):
         return draw(st.sampled_from(RATIONAL_CTXS))
-    return FiniteAbelian((draw(st.integers(2, 6)), draw(st.integers(2, 6))))
+    return FiniteAbelian(tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))))
 
 
 @st.composite

@@ -194,28 +194,28 @@ class TestRefuteImage:
     def test_modular_subgroup_has_a_preimage(self):
         ctx = FiniteAbelian((6,))
         target = finite_set(ctx, [point(0), point(2), point(4)])
-        result = refute_spectre_image(ctx, target)
+        result = refute_spectre_image(target)
         assert result.found
         assert spectre(result.witness, mode="oracle") == target
 
     def test_first_witness_is_reported_in_scan_order(self):
         ctx = FiniteAbelian((6,))
         target = finite_set(ctx, [point(0), point(2), point(4)])
-        result = refute_spectre_image(ctx, target)
+        result = refute_spectre_image(target)
         assert [p[0] for p in result.witness.elements] == [0, 2]
         assert result.scanned == 5
 
     def test_three_point_set_outside_the_image(self):
         ctx = FiniteAbelian((7,))
         target = finite_set(ctx, [point(0), point(1), point(3)])
-        result = refute_spectre_image(ctx, target)
+        result = refute_spectre_image(target)
         assert not result.found
         assert result.witness is None
         assert result.scanned == 127
 
     def test_trivial_target_has_a_preimage(self):
         ctx = FiniteAbelian((5,))
-        result = refute_spectre_image(ctx, finite_set(ctx, [point(0)]))
+        result = refute_spectre_image(finite_set(ctx, [point(0)]))
         assert result.found
         assert spectre(result.witness).elements == (point(0),)
 
@@ -223,7 +223,7 @@ class TestRefuteImage:
         # Re-check a refutation against an independent full scan.
         ctx = FiniteAbelian((5,))
         target = finite_set(ctx, [point(0), point(1)])
-        result = refute_spectre_image(ctx, target)
+        result = refute_spectre_image(target)
         want = [tuple(p) for p in target.elements]
         hit = None
         for mask in range(1, 32):
@@ -237,8 +237,8 @@ class TestRefuteImage:
         ctx = FiniteAbelian((5, 5))
         target = finite_set(ctx, [point(0, 0)])
         with pytest.raises(BudgetExceededError):
-            refute_spectre_image(ctx, target, budget=1000)
+            refute_spectre_image(target, budget=1000)
 
     def test_rejects_rational_contexts(self):
         with pytest.raises(DomainError):
-            refute_spectre_image(Q1, qset(0))
+            refute_spectre_image(qset(0))
