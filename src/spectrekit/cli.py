@@ -120,12 +120,12 @@ def _witness_obj(w: Optional[PairWitness]) -> Optional[Dict[str, Any]]:
 
 
 def _verdict_result(v: SetVerdict) -> Result:
-    obj = {"ok": v.ok, "reason": v.reason, "witness": _witness_obj(v.witness)}
+    witness = _witness_obj(v.witness)
+    obj = {"ok": v.ok, "reason": v.reason, "witness": witness}
     rows: Rows = [["ok", v.ok], ["reason", v.reason]]
-    if v.witness is not None:
-        for name, pair in (("pair_a", v.witness.pair_a), ("pair_b", v.witness.pair_b)):
-            for p in pair:
-                rows.append([f"witness-{name}"] + _point_strs(p))
+    if witness is not None:
+        for name in ("pair_a", "pair_b"):
+            rows.extend([f"witness-{name}", *p] for p in witness[name])
     return obj, rows, 0 if v.ok else 1
 
 
@@ -158,11 +158,6 @@ def _gap1d_obj(g: Gap1D) -> Dict[str, Any]:
     }
 
 
-def _gap1d_row(g: Gap1D) -> List[Any]:
-    return ["gap", format_rat(g.alpha), format_rat(g.beta),
-            format_rat(g.length), g.dominating]
-
-
 def _axis_gap_obj(g: AxisGap) -> Dict[str, Any]:
     return {"axis": g.axis, "lo": format_rat(g.lo), "hi": format_rat(g.hi),
             "length": format_rat(g.length)}
@@ -180,8 +175,11 @@ def _write_svg(path: Optional[str], E: FiniteSet,
     if path is None:
         return
     content = render_planar_svg(E, rects=rects, strips=strips)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
     print(f"svg written to {path}", file=sys.stderr)
 
 
@@ -215,9 +213,9 @@ def _cmd_spectre(ns: argparse.Namespace) -> Result:
 
 def _cmd_center(ns: argparse.Namespace) -> Result:
     A = _load_set(ns.set)
-    values = center_of_distances(A)
-    obj = {"group": encode_group(A.ctx), "values": [_dist_obj(d) for d in values]}
-    return obj, [[format_rat(d.value), d.squared] for d in values], 0
+    values = [_dist_obj(d) for d in center_of_distances(A)]
+    obj = {"group": encode_group(A.ctx), "values": values}
+    return obj, [list(d.values()) for d in values], 0
 
 
 def _cmd_netset_check(ns: argparse.Namespace) -> Result:
@@ -233,8 +231,8 @@ def _cmd_nonsliding_check(ns: argparse.Namespace) -> Result:
 
 
 def _cmd_hausdorff(ns: argparse.Namespace) -> Result:
-    d = hausdorff(_load_set(ns.a), _load_set(ns.b))
-    return _dist_obj(d), [[format_rat(d.value), d.squared]], 0
+    d = _dist_obj(hausdorff(_load_set(ns.a), _load_set(ns.b)))
+    return d, [list(d.values())], 0
 
 
 def _cmd_probe(ns: argparse.Namespace) -> Result:
@@ -259,9 +257,9 @@ def _cmd_probe(ns: argparse.Namespace) -> Result:
         ],
     }
     rows: Rows = [
-        ["row", row.index, format_rat(row.input_distance.value),
-         format_rat(row.spectre_distance.value), row.usc_ok]
-        for row in r.rows
+        ["row", row["index"], row["input_distance"]["value"],
+         row["spectre_distance"]["value"], row["usc_ok"]]
+        for row in obj["rows"]
     ]
     rows.append(["verdict", r.verdict, tail or "", r.usc_tail_ok])
     return obj, rows, 1 if ns.subcommand == "usc" and not r.usc_tail_ok else 0
@@ -280,8 +278,9 @@ def _cmd_series_enumerate(ns: argparse.Namespace) -> Result:
 
 
 def _cmd_series_gaps(ns: argparse.Namespace) -> Result:
-    gaps = find_gaps(achievement_set(_series(ns, 1), budget=ns.budget))
-    return {"gaps": [_gap1d_obj(g) for g in gaps]}, [_gap1d_row(g) for g in gaps], 0
+    E = achievement_set(_series(ns, 1), budget=ns.budget)
+    gaps = [_gap1d_obj(g) for g in find_gaps(E)]
+    return {"gaps": gaps}, [["gap", *g.values()] for g in gaps], 0
 
 
 def _cmd_series_third_gap(ns: argparse.Namespace) -> Result:
@@ -290,12 +289,11 @@ def _cmd_series_third_gap(ns: argparse.Namespace) -> Result:
 
 def _cmd_series_first_gap(ns: argparse.Namespace) -> Result:
     gap = first_gap_check_1d(_series(ns, 1), ns.k, budget=ns.budget)
-    obj = {"applicable": gap is not None,
-           "gap": None if gap is None else _gap1d_obj(gap)}
-    rows: Rows = [["applicable", gap is not None]]
-    if gap is not None:
-        rows.append(_gap1d_row(gap))
-    return obj, rows, 0
+    g = None if gap is None else _gap1d_obj(gap)
+    rows: Rows = [["applicable", g is not None]]
+    if g is not None:
+        rows.append(["gap", *g.values()])
+    return {"applicable": g is not None, "gap": g}, rows, 0
 
 
 def _cmd_series_props(ns: argparse.Namespace) -> Result:
@@ -315,12 +313,9 @@ def _cmd_planar_gaps(ns: argparse.Namespace) -> Result:
     _write_svg(ns.svg, E, rects=rect, strips=axial)
     obj = {"axis_gaps": [_axis_gap_obj(g) for g in axial],
            "rect_gaps": [_rect_gap_obj(g) for g in rect]}
-    rows: Rows = [
-        ["axis-gap", g.axis, format_rat(g.lo), format_rat(g.hi)] for g in axial
-    ]
-    rows.extend(["rect-gap", format_rat(g.a), format_rat(g.b),
-                 format_rat(g.c), format_rat(g.d), format_rat(g.area)]
-                for g in rect)
+    # Axis-gap rows leave out the length.
+    rows: Rows = [["axis-gap", g["axis"], g["lo"], g["hi"]] for g in obj["axis_gaps"]]
+    rows.extend(["rect-gap", *g.values()] for g in obj["rect_gaps"])
     return obj, rows, 0
 
 
@@ -372,7 +367,7 @@ def _cmd_psum_demo(ns: argparse.Namespace) -> Result:
         "strictly_decreasing": demo.strictly_decreasing,
         "rows": [{"level": m, "epsilon": format_rat(e)} for m, e in demo.rows],
     }
-    rows: Rows = [["level", m, format_rat(e)] for m, e in demo.rows]
+    rows: Rows = [["level", *r.values()] for r in obj["rows"]]
     rows.append(["strictly_decreasing", demo.strictly_decreasing])
     return obj, rows, 0 if demo.strictly_decreasing else 1
 

@@ -52,7 +52,10 @@ def format_scaled(n: int, scale: int) -> str:
 
 
 def as_rat(value: RatLike) -> Rat:
-    """Coerce a string literal, int, or Fraction to a canonical Rat."""
+    """Coerce a string literal, int, or Fraction to a canonical Rat.  A
+    Fraction is already canonical and comes back as it is."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         return parse_rat(value)
     return Fraction(value)

@@ -2,6 +2,7 @@
 
 Whatever the input, ``run`` must return one of the documented exit codes
 instead of raising, and a failed command (codes 2-4) must print no payload.
+That includes an ``--svg`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -107,9 +108,13 @@ def test_run_exits_with_a_documented_code(tmp_path, capsys, cmd, data):
     group = data.draw(valid_groups, label="group")
     argv = cmd.words.split() + ["--budget", "4096"]
     for flag, spec in cmd.args:
-        if flag == "--svg" or not (spec.get("required") or data.draw(st.booleans())):
+        if not (spec.get("required") or data.draw(st.booleans())):
             continue
-        if spec.get("metavar") == "FILE":
+        if flag == "--svg":
+            # Sometimes inside a directory that does not exist, so it cannot be written.
+            name = data.draw(st.sampled_from(["plot.svg", "missing/plot.svg"]), label=flag)
+            argv += [flag, str(tmp_path / name)]
+        elif spec.get("metavar") == "FILE":
             path = tmp_path / f"{flag[2:]}.json"
             valid = valid_doc(flag, cmd.words, group).map(json.dumps)
             path.write_text(data.draw(mostly(valid, any_text), label=flag))

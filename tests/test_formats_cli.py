@@ -276,6 +276,17 @@ class TestCliPlanar:
         assert text.startswith("<svg")
         assert text.count("<circle") == 12
 
+    def test_unwritable_svg_is_a_usage_error(self, tmp_path, capsys):
+        terms = [("1/2", "1/2"), ("1/8", "1/8")]
+        path = write(tmp_path, "s.json", encode_series(series_spec(terms)))
+        svg = tmp_path / "missing" / "x.svg"
+        assert run(["planar", "enumerate", "--series", path, "--svg", str(svg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1 and str(svg) in captured.err
+        assert not svg.parent.exists()
+
     def test_gaps_largest_mode(self, tmp_path, capsys):
         terms = [("7/8", "1/8"), ("1/8", "7/8"), ("3/16", "3/16"), ("3/16", "3/16")]
         path = write(tmp_path, "s.json", encode_series(series_spec(terms)))

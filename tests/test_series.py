@@ -297,6 +297,20 @@ class TestSeriesSpectreChecks:
             report = series_spectre_checks(s)
             assert report.passed, report.failures()
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_one_spectre_per_distinct_set(self, monkeypatch, n):
+        # S(F_k) for k < N, S(E_k) for k > 0, and S(E) = S(F_N) = S(E_0) once.
+        calls = []
+
+        def counted(A, *args, **kwargs):
+            calls.append(A)
+            return spectre(A, *args, **kwargs)
+
+        monkeypatch.setattr("spectrekit.series.spectre", counted)
+        s = series_spec([Fraction(1, 3 ** k) for k in range(n)])
+        assert series_spectre_checks(s).passed
+        assert len(calls) == 2 * n + 1
+
     def test_random_planar_series_pass(self):
         r = random.Random(409)
         for _ in range(25):
