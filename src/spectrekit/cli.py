@@ -44,6 +44,7 @@ from .formats import (
 from .groups import DistValue
 from .hyperspace import hausdorff, probe_spectre_continuity, refute_spectre_image
 from .planar import (
+    RECT_GAP_MODES,
     AxisGap,
     RectGap,
     achievement_set_2d,
@@ -67,6 +68,7 @@ from .series import (
     third_gap_check,
 )
 from .sets import (
+    SPECTRE_MODES,
     FiniteSet,
     PairWitness,
     SetVerdict,
@@ -190,16 +192,27 @@ def _parse_rat_list(text: str, expect: int, what: str) -> List[Rat]:
     return [parse_rat(p) for p in parts]
 
 
+def _budget(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _load_set(path: str) -> FiniteSet:
     return decode_set(load_path(path))
 
 
-def _series(ns: argparse.Namespace, dim: int) -> SeriesSpec:
+def _series(ns: argparse.Namespace, dim: Optional[int]) -> SeriesSpec:
+    """The series of ``--series``, of dimension ``dim``, or 1 or 2 for None."""
     s = decode_series(load_path(ns.series))
     if s.dim not in (1, 2):
         raise DomainError(f"series commands need one- or two-dimensional series, "
                           f"got dimension {s.dim}")
-    if s.dim != dim:
+    if dim is not None and s.dim != dim:
         raise DomainError("planar commands need two-dimensional series" if dim == 2
                           else "use the planar commands for two-dimensional series")
     return s
@@ -297,7 +310,7 @@ def _cmd_series_first_gap(ns: argparse.Namespace) -> Result:
 
 
 def _cmd_series_props(ns: argparse.Namespace) -> Result:
-    return _report_result(series_spectre_checks(_series(ns, 1), budget=ns.budget))
+    return _report_result(series_spectre_checks(_series(ns, None), budget=ns.budget))
 
 
 def _cmd_planar_enumerate(ns: argparse.Namespace) -> Result:
@@ -405,7 +418,7 @@ GROUP_HELP = {
 # In --help order: groups are listed where their first command stands.
 COMMANDS: Tuple[Command, ...] = (
     Command("spectre", _cmd_spectre,
-            (SET, ("--mode", {"choices": ("fast", "oracle"), "default": "fast"})),
+            (SET, ("--mode", {"choices": SPECTRE_MODES, "default": "fast"})),
             help="compute the spectre of a finite set"),
     Command("center", _cmd_center, (SET,), help="compute the center of distances"),
     Command("netset check", _cmd_netset_check, (SET,)),
@@ -424,7 +437,7 @@ COMMANDS: Tuple[Command, ...] = (
     Command("series first-gap", _cmd_series_first_gap, (SERIES, K)),
     Command("planar enumerate", _cmd_planar_enumerate, (SERIES, SVG)),
     Command("planar gaps", _cmd_planar_gaps,
-            (SERIES, ("--mode", {"choices": ("all", "largest-by-area"), "default": "all"}),
+            (SERIES, ("--mode", {"choices": RECT_GAP_MODES, "default": "all"}),
              SVG)),
     Command("planar first-gap", _cmd_planar_first_gap, (SERIES, K)),
     Command("planar second-gap", _cmd_planar_second_gap,
@@ -445,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="json",
                         help="output format (default json)")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    common.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                         help="enumeration budget (default 2^20)")
     parser = argparse.ArgumentParser(
         prog="spectrekit",

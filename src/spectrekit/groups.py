@@ -25,7 +25,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from numbers import Rational
 from operator import add, mod, neg, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -86,6 +86,7 @@ GroupCtx = Union[RationalSpace, FiniteAbelian]
 IntPoint = Tuple[int, ...]
 
 
+@total_ordering
 @dataclass(frozen=True)
 class DistValue:
     """An exact distance value.  ``squared`` marks values produced by the
@@ -104,18 +105,6 @@ class DistValue:
     def __lt__(self, other: "DistValue") -> bool:
         self._compatible(other)
         return self.value < other.value
-
-    def __le__(self, other: "DistValue") -> bool:
-        self._compatible(other)
-        return self.value <= other.value
-
-    def __gt__(self, other: "DistValue") -> bool:
-        self._compatible(other)
-        return self.value > other.value
-
-    def __ge__(self, other: "DistValue") -> bool:
-        self._compatible(other)
-        return self.value >= other.value
 
     def is_zero(self) -> bool:
         return self.value == 0

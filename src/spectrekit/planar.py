@@ -158,12 +158,8 @@ def first_gap_lemma_2d(s: SeriesSpec, k: int,
     both hypotheses hold, the rectangle they span is a rectangular gap.
     Parts whose hypothesis fails are reported as not applicable.
     """
-    if s.dim != 2:
-        raise DomainError("two-dimensional terms required")
     if not 1 <= k <= s.count:
         raise DomainError(f"k must lie in [1, {s.count}], got {k}")
-    if not s.nonnegative:
-        raise DomainError("nonnegative terms required")
     E = achievement_set_2d(s, budget)  # on the series' grid
     S = s.scale
     xk, yk = s.ints[k - 1]
@@ -208,10 +204,6 @@ def second_gap_lemma_2d(s: SeriesSpec, gap: RectGap,
     corner is an initial sum plus the full tail beyond k.  A rectangle that
     is not actually a gap fails the report.
     """
-    if s.dim != 2:
-        raise DomainError("two-dimensional terms required")
-    if not s.nonnegative:
-        raise DomainError("nonnegative terms required")
     E = achievement_set_2d(s, budget)  # on the series' grid
     S = s.scale
     corners = _grid_corners(S, gap.a, gap.b, gap.c, gap.d)

@@ -71,12 +71,13 @@ SPECTRE_MODES = ("fast", "oracle")
 def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> FiniteSet:
     """S(A) = {z : for every x in A, x+z in A or x-z in A}.
 
-    The fast mode tests only candidates from (A - a) and (a - A) for a single
-    anchor a, which is complete: any admissible z must move the anchor into A
-    in one of the two directions.  The oracle mode rescans the full pairwise
-    difference set, or the whole group when it is finite; either must fit in
-    ``budget``.  It exists so the two routes can be checked against each
-    other.
+    The condition does not change when z is replaced by -z, so S(A) = -S(A).
+    The fast mode tests the candidates A - a for a single anchor a and
+    reflects the ones that pass: any admissible z moves the anchor into A in
+    one of the two directions, so z or -z lies in A - a.  The oracle mode
+    rescans the full pairwise difference set, or the whole group when it is
+    finite; either must fit in ``budget``.  It exists so the two routes can
+    be checked against each other.
     """
     if mode not in SPECTRE_MODES:
         raise DomainError(f"unknown spectre mode {mode!r}")
@@ -96,14 +97,14 @@ def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> F
 def spectre_ints(grid: Grid, pts: Sequence[IntPoint],
                  candidates: Optional[Iterable[IntPoint]] = None) -> List[IntPoint]:
     """The spectre of the grid points ``pts``: every z of ``candidates`` with
-    x+z or x-z in pts for each x in pts.  The default candidates are
-    (pts - a) and (a - pts) for the anchor a = pts[0], which is complete."""
+    x+z or x-z in pts for each x in pts, together with its negative, since z
+    passes exactly when -z does.  The default candidates are pts - a for the
+    anchor a = pts[0], which hold z or -z for each z of the spectre.  The
+    result may repeat a point (z = -z), so callers dedupe it."""
     add, sub = grid.add, grid.sub
     member = frozenset(pts)
     if candidates is None:
-        anchor = pts[0]
-        candidates = {sub(p, anchor) for p in pts}
-        candidates.update(sub(anchor, p) for p in pts)
+        candidates = {sub(p, pts[0]) for p in pts}
     accepted = []
     for z in candidates:
         for x in pts:
@@ -111,7 +112,7 @@ def spectre_ints(grid: Grid, pts: Sequence[IntPoint],
                 break
         else:
             accepted.append(z)
-    return accepted
+    return accepted + list(map(grid.neg, accepted))
 
 
 def distance_set(A: FiniteSet, x: Optional[Point] = None) -> List[DistValue]:

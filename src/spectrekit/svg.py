@@ -11,9 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
-from .errors import DomainError
-from .groups import RationalSpace
-from .planar import AxisGap, RectGap
+from .planar import AxisGap, RectGap, _require_planar
 from .sets import FiniteSet
 
 SIZE = 800
@@ -34,8 +32,7 @@ def render_planar_svg(E: FiniteSet,
                       strips: Sequence[AxisGap] = ()) -> str:
     """An SVG document showing the points of a planar set, optionally with
     rectangular gaps outlined and axis gaps as translucent strips."""
-    if not isinstance(E.ctx, RationalSpace) or E.ctx.dim != 2:
-        raise DomainError("SVG rendering needs a two-dimensional rational set")
+    _require_planar(E)
     xs = [p[0] for p in E.elements]
     ys = [p[1] for p in E.elements]
     for g in rects:

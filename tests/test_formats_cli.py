@@ -196,6 +196,14 @@ class TestCliCore:
         assert run(["spectre", "--set", path, "--mode", "oracle", "--budget", "1000"]) == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("mode", ["fast", "oracle"])
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys, mode):
+        argv = ["spectre", "--set", sym3_path(tmp_path), "--mode", mode, "--budget", "-1"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget: must be >= 0, got -1" in captured.err
+
     def test_spectre_oracle_budget_counts_differences(self, tmp_path, capsys):
         # 1100^2 pairwise differences exceed the default budget of 2^20.
         A = finite_set(Q1, [point(k) for k in range(1100)])

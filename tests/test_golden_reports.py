@@ -273,6 +273,12 @@ SPECTRE_PROPS = {
          ("|term| 1/9 in C(E)", True, ""),
          ("|term| 1/3 in C(E)", True, ""),
          ("|term| 1 in C(E)", True, "")]),
+    "planar": (
+        [("1/2", "1/4"), ("1/8", "1/8"), ("1/8", "1/8"), ("1/8", "1/8"), ("1/32", "0")],
+        [("term ('1/32', '0') in S(E)", True, ""),
+         ("term ('1/8', '1/8') in S(E)", True, ""),
+         ("term ('1/2', '1/4') in S(E)", True, ""),
+         ("run of 3 at index 2: 2 * ('1/8', '1/8') in S(E)", True, "")]),
 }
 
 
@@ -286,16 +292,13 @@ def test_spectre_props_json_is_pinned(tmp_path, capsys, name):
 
 
 def test_planar_spectre_checks_are_pinned():
-    # The CLI takes scalar series only, so the planar report is read directly.
-    s = series_spec([("1/2", "1/4"), ("1/8", "1/8"), ("1/8", "1/8"), ("1/8", "1/8"),
-                     ("1/32", "0")])
-    report = series_spectre_checks(s)
+    # The library report of the planar series; test_spectre_props_json_is_pinned
+    # runs the same series through the CLI.
+    terms, items = SPECTRE_PROPS["planar"]
+    report = series_spectre_checks(series_spec(terms))
     got = [(i.label, i.passed, i.detail) for i in report.items]
     assert (report.name, report.note, report.passed) == ("series-spectre", "", True)
-    assert got == [("term ('1/32', '0') in S(E)", True, ""),
-                   ("term ('1/8', '1/8') in S(E)", True, ""),
-                   ("term ('1/2', '1/4') in S(E)", True, ""),
-                   ("run of 3 at index 2: 2 * ('1/8', '1/8') in S(E)", True, "")] + CHAINS
+    assert got == items + CHAINS
 
 
 # (terms, the faulty set "F" or "E" and its k, points added to its spectre,

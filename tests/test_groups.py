@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -179,6 +180,11 @@ class TestDistValue:
         assert DistValue(Fraction(1, 2)) < DistValue(Fraction(3, 4))
         assert DistValue(Fraction(2), squared=True) >= DistValue(Fraction(2), squared=True)
 
+    def test_same_kind_greater_and_at_most(self):
+        half, one = DistValue(Fraction(1, 2)), DistValue(Fraction(1))
+        assert one > half and not half > one and not one > one
+        assert half <= one and one <= one and not one <= half
+
     def test_cross_kind_comparison_raises(self):
         plain = DistValue(Fraction(1))
         squared = DistValue(Fraction(1), squared=True)
@@ -186,6 +192,19 @@ class TestDistValue:
             plain < squared  # noqa: B015
         with pytest.raises(DomainError):
             squared <= plain  # noqa: B015
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_every_order_operator_raises_across_kinds(self, op):
+        plain = DistValue(Fraction(1))
+        squared = DistValue(Fraction(2), squared=True)
+        for a, b in ((plain, squared), (squared, plain)):
+            with pytest.raises(DomainError):
+                op(a, b)
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_order_against_a_non_distance_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(DistValue(Fraction(1)), Fraction(1))
 
     def test_cross_kind_equality_is_false_not_an_error(self):
         assert DistValue(Fraction(1)) != DistValue(Fraction(1), squared=True)

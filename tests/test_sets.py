@@ -145,6 +145,19 @@ class TestSpectre:
             assert [tuple(p) for p in fast.elements] == \
                 oracles.naive_spectre_mod(A.elements, ctx.moduli)
 
+    @pytest.mark.parametrize("moduli", [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2),
+                                        (2, 3), (2, 4), (2, 2, 2)])
+    def test_every_subset_of_small_groups_matches_oracle_and_naive(self, moduli):
+        # Every finite Abelian group of order at most 8, so every case with
+        # z = -z != 0: the fast route tests one of z and -z and reflects it.
+        ctx = FiniteAbelian(moduli)
+        group = [point(*c) for c in itertools.product(*(range(m) for m in moduli))]
+        for mask in range(1, 1 << len(group)):
+            A = finite_set(ctx, [g for i, g in enumerate(group) if mask >> i & 1])
+            fast = spectre(A)
+            assert fast == spectre(A, mode="oracle")
+            assert list(fast.elements) == oracles.naive_spectre_mod(A.elements, moduli)
+
     def test_contains_zero_and_is_symmetric(self):
         r = random.Random(203)
         for _ in range(100):
