@@ -13,11 +13,11 @@ import json
 from typing import Any, Dict, List, Mapping, Sequence
 
 from .errors import DomainError, ParseError
-from .groups import METRICS, SUP, FiniteAbelian, GroupCtx, RationalSpace
+from .groups import METRICS, SUP, FiniteAbelian, GroupCtx, RationalSpace, canonical_set
 from .psums import PSpec, pspec
 from .rational import Point, Rat, format_rat, format_scaled, parse_rat
 from .series import SeriesSpec, series_spec
-from .sets import FiniteSet, finite_set
+from .sets import FiniteSet
 
 QD = "Qd"
 FINAB = "FinAb"
@@ -42,10 +42,7 @@ def _get(obj: Mapping, key: str, what: str) -> Any:
 
 
 def _decode_rat(raw: Any, where: str) -> Rat:
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise ParseError(f"{where}: rationals must be strings or integers, "
-                         f"got {raw!r}")
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return Rat(raw)
     if isinstance(raw, str):
         try:
@@ -102,19 +99,16 @@ def _decode_point(raw: Any, ctx: GroupCtx, where: str) -> Point:
     return coords
 
 
-def _decode_point_list(raw: Any, ctx: GroupCtx, where: str) -> List[Point]:
+def _decode_point_list(raw: Any, ctx: GroupCtx, where: str) -> FiniteSet:
     entries = _require_list(raw, where)
     if not entries:
         raise ParseError(f"{where} must be nonempty")
     seen: Dict[Point, int] = {}
-    points = []
     for i, entry in enumerate(entries):
-        p = _decode_point(entry, ctx, f"{where}[{i}]")
-        if p in seen:
-            raise ParseError(f"{where}[{i}] duplicates {where}[{seen[p]}]")
-        seen[p] = i
-        points.append(p)
-    return points
+        j = seen.setdefault(_decode_point(entry, ctx, f"{where}[{i}]"), i)
+        if j != i:
+            raise ParseError(f"{where}[{i}] duplicates {where}[{j}]")
+    return canonical_set(ctx, seen.keys())
 
 
 def encode_set(A: FiniteSet) -> Dict[str, Any]:
@@ -126,8 +120,7 @@ def encode_set(A: FiniteSet) -> Dict[str, Any]:
 def decode_set(obj: Any) -> FiniteSet:
     doc = _require_mapping(obj, "set document")
     ctx = decode_group(_get(doc, "group", "set document"))
-    points = _decode_point_list(_get(doc, "points", "set document"), ctx, "points")
-    return finite_set(ctx, points)
+    return _decode_point_list(_get(doc, "points", "set document"), ctx, "points")
 
 
 def decode_family(obj: Any) -> List[FiniteSet]:
@@ -138,10 +131,8 @@ def decode_family(obj: Any) -> List[FiniteSet]:
     sets_raw = _require_list(_get(doc, "sets", "family document"), "sets")
     if not sets_raw:
         raise ParseError("sets must be nonempty")
-    return [
-        finite_set(ctx, _decode_point_list(entry, ctx, f"sets[{i}]"))
-        for i, entry in enumerate(sets_raw)
-    ]
+    return [_decode_point_list(entry, ctx, f"sets[{i}]")
+            for i, entry in enumerate(sets_raw)]
 
 
 # -- series and P-specs -------------------------------------------------------
@@ -200,9 +191,9 @@ def load_path(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # bad UTF-8, or an over-long integer
+        raise ParseError(f"cannot read {path}: {exc}") from None
     except RecursionError:
         raise ParseError(f"{path} is nested too deeply") from None

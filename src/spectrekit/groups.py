@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, total_ordering
 from numbers import Rational
 from operator import add, mod, neg, sub
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, GroupMismatchError
 from .rational import Point, Rat
@@ -263,6 +263,12 @@ class Grid:
         return A
 
 
+def canonical_set(ctx: GroupCtx, points: Collection[Point]) -> "FiniteSet":
+    """The FiniteSet of points already in ``validate_point`` form, not checked again."""
+    grid = Grid.of(ctx, points)
+    return grid.to_set(map(grid.to_int, points))
+
+
 @dataclass(frozen=True, init=False)
 class FiniteSet:
     """A nonempty finite subset of an ambient group, stored on an integer grid:
@@ -277,8 +283,7 @@ class FiniteSet:
 
     def __init__(self, ctx: GroupCtx, points: Iterable[Point]):
         canon = {validate_point(ctx, p) for p in points}
-        grid = Grid.of(ctx, canon)
-        vars(self).update(vars(grid.to_set(map(grid.to_int, canon))))
+        vars(self).update(vars(canonical_set(ctx, canon)))
 
     @cached_property
     def elements(self) -> Tuple[Point, ...]:

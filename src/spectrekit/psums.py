@@ -18,10 +18,10 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import DomainError, check_budget_power
-from .groups import RationalSpace, to_grid
+from .groups import RationalSpace, canonical_set, to_grid
 from .rational import Rat, RatLike, as_rat
 from .series import _subset_sums_cached, series_spec
-from .sets import FiniteSet, finite_set
+from .sets import FiniteSet
 
 _CTX_1D = RationalSpace(1)
 
@@ -128,7 +128,7 @@ def demo_level_set(m: int) -> FiniteSet:
     third = Fraction(1, 3)
     left = {p * quarter for p in _endpoint_level(quarter, m)}
     right = {p * quarter + Fraction(1, 2) for p in _endpoint_level(third, m)}
-    return finite_set(_CTX_1D, ((v,) for v in left | right))
+    return canonical_set(_CTX_1D, [(v,) for v in left | right])
 
 
 def cantor_pair_demo(levels: int) -> DemoReport:

@@ -37,6 +37,8 @@ def parse_rat(text: str) -> Rat:
         return Fraction(s)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in rational literal: {text!r}") from None
+    except ValueError:  # Python's int-string limit; the digits are not echoed
+        raise ParseError("rational literal has too many digits") from None
 
 
 def format_rat(value: RatLike) -> str:

@@ -28,6 +28,7 @@ from .groups import (
     GroupCtx,
     IntPoint,
     RationalSpace,
+    canonical_set,
     require_same_ctx,
     validate_point,
     zero,
@@ -231,7 +232,7 @@ def spectre_inflate(B: FiniteSet, x: Point) -> FiniteSet:
     x = validate_point(B.ctx, x)
     if x == zero(B.ctx):
         raise DomainError("the shift must be nonzero")
-    return minkowski_sum(B, finite_set(B.ctx, [zero(B.ctx), x]))
+    return minkowski_sum(B, canonical_set(B.ctx, [zero(B.ctx), x]))
 
 
 def _perturbations(dim: int, eps: Rat) -> Iterator[Point]:
@@ -314,4 +315,4 @@ def densify_to_netset(B: FiniteSet, eps: Rat) -> FiniteSet:
         keep(_scan(near(b), passes))
     while len(kept) < 3:
         keep(_scan(near(kept[0]), passes))
-    return finite_set(ctx, kept)
+    return canonical_set(ctx, kept)

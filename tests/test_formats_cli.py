@@ -15,6 +15,7 @@ from spectrekit import FiniteAbelian, RationalSpace, finite_set, point, pspec, s
 from spectrekit.cli import COMMANDS, run
 from spectrekit.errors import ParseError
 from spectrekit.formats import (
+    decode_family,
     decode_group,
     decode_pspec,
     decode_series,
@@ -25,7 +26,8 @@ from spectrekit.formats import (
     encode_series,
     encode_set,
 )
-from gen import rand_finab_ctx, rand_finab_set, rand_qset
+from spectrekit.groups import METRICS
+from gen import rand_finab_ctx, rand_finab_set, rand_point, rand_qset
 
 Q1 = RationalSpace(1)
 Q2 = RationalSpace(2)
@@ -35,6 +37,21 @@ def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(dumps(obj) if not isinstance(obj, str) else obj)
     return str(path)
+
+
+def spell(r, q):
+    """One of the literals the decoder reads as the rational ``q``, at random."""
+    n, d = q.numerator, q.denominator
+    k = r.randint(2, 3)
+    spellings = [f"{n}/{d}", f"{k * n}/{k * d}", f"{'+' if n >= 0 else ''}{n}/{d}"]
+    if d == 1:
+        spellings += [n, str(n)]
+    places = next((e for e in range(6) if 10 ** e % d == 0), None)
+    if places is not None:  # a terminating decimal, with one trailing zero
+        whole, frac = divmod(abs(n) * 10 ** places // d, 10 ** places)
+        digits = f"{frac:0{places}d}" if places else ""
+        spellings.append(f"{'-' if n < 0 else ''}{whole}.{digits}0")
+    return r.choice(spellings)
 
 
 def sym3_path(tmp_path):
@@ -74,6 +91,32 @@ class TestCodecs:
                "points": [["0"], ["1/2"], ["0"]]}
         with pytest.raises(ParseError, match=r"points\[2\].*points\[0\]"):
             decode_set(doc)
+
+    def test_duplicates_spelled_differently_name_both_positions(self):
+        group = {"type": "Qd", "dim": 1, "metric": "sup"}
+        with pytest.raises(ParseError, match=r"^points\[2\] duplicates points\[0\]$"):
+            decode_set({"group": group, "points": [["1/2"], ["0"], ["0.5"], ["x"]]})
+        with pytest.raises(ParseError, match=r"^sets\[1\]\[1\] duplicates sets\[1\]\[0\]$"):
+            decode_family({"group": group, "sets": [[["1/2"]], [[1], ["+2/2"]]]})
+
+    def test_non_canonical_documents_decode_like_finite_set(self):
+        r = random.Random(1105)
+        for _ in range(150):
+            if r.random() < 0.6:
+                ctx = RationalSpace(r.randint(1, 3), r.choice(METRICS))
+                points = {rand_point(r, ctx.dim) for _ in range(r.randint(1, 8))}
+            else:
+                ctx = rand_finab_ctx(r)
+                points = {tuple(Fraction(r.randrange(m)) for m in ctx.moduli)
+                          for _ in range(r.randint(1, 8))}
+            expected = finite_set(ctx, points)
+            points = list(points)
+            r.shuffle(points)
+            rows = [[spell(r, c) for c in p] for p in points]
+            assert decode_set({"group": encode_group(ctx), "points": rows}) == expected
+            family = decode_family({"group": encode_group(ctx),
+                                    "sets": [rows, rows[::-1], rows[:1]]})
+            assert family == [expected, expected, finite_set(ctx, points[:1])]
 
     def test_modular_coordinates_must_be_reduced(self):
         doc = {"group": {"type": "FinAb", "moduli": [6]}, "points": [["6"]]}
@@ -379,6 +422,24 @@ class TestCliContract:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert str(path) in captured.err
+
+    def test_too_many_digits_in_a_string_names_the_coordinate(self, tmp_path, capsys):
+        path = write(tmp_path, "long.json", {"group": {"type": "Qd", "dim": 1},
+                                             "points": [["1" * 5000]]})
+        assert run(["spectre", "--set", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: points[0][0]: ")
+        assert captured.err.count("\n") == 1 and "1" * 100 not in captured.err
+
+    def test_too_many_digits_in_a_json_integer_names_the_file(self, tmp_path, capsys):
+        path = write(tmp_path, "long.json",
+                     '{"group": {"type": "Qd", "dim": 1}, "points": [[%s]]}' % ("1" * 5000))
+        assert run(["spectre", "--set", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.err.count("\n") == 1 and "1" * 100 not in captured.err
 
     def test_internal_failure_exits_four(self, tmp_path, capsys, monkeypatch):
         # An achievement set without the predicted gap (5/16, 1): 1 is missing.

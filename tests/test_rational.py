@@ -45,6 +45,14 @@ class TestParseRat:
         with pytest.raises(ParseError, match="3/0"):
             parse_rat("3/0")
 
+    @pytest.mark.parametrize("text", ["1" * 5000, "-1/" + "3" * 5000, "0." + "5" * 5000],
+                             ids=["integer", "fraction", "decimal"])
+    def test_too_many_digits_is_a_parse_error_without_the_digits(self, text):
+        # Python refuses to convert digit strings past its int-string limit.
+        with pytest.raises(ParseError, match="too many digits") as info:
+            parse_rat(text)
+        assert "5" * 100 not in str(info.value) and "1" * 100 not in str(info.value)
+
 
 class TestFormatRat:
     def test_integers_render_without_slash(self):
