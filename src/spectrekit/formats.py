@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Mapping, Sequence
 from .errors import DomainError, ParseError
 from .groups import METRICS, SUP, FiniteAbelian, GroupCtx, RationalSpace, canonical_set
 from .psums import PSpec, pspec
-from .rational import Point, Rat, format_rat, format_scaled, parse_rat
+from .rational import Point, Rat, format_rat, format_scaled, parse_rat, shorten
 from .series import SeriesSpec, series_spec
 from .sets import FiniteSet
 
@@ -95,7 +95,7 @@ def _decode_point(raw: Any, ctx: GroupCtx, where: str) -> Point:
         for j, (c, m) in enumerate(zip(coords, ctx.moduli)):
             if c.denominator != 1 or not 0 <= c < m:
                 raise ParseError(f"{where}[{j}]: residue must be an integer "
-                                 f"in [0, {m}), got {format_rat(c)}")
+                                 f"in [0, {m}), got {shorten(format_rat(c))}")
     return coords
 
 

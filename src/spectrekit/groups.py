@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from numbers import Rational
@@ -41,34 +40,59 @@ METRICS = (SUP, TAXICAB, EUCLIDEAN_SQUARED)
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class RationalSpace:
+class Frozen:
+    """An immutable value whose fields are its class's annotated names, set
+    once by ``__init__`` through ``vars(self)`` (as ``cached_property`` does);
+    ``==`` and ``hash`` compare them within one class, and the repr lists them."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class RationalSpace(Frozen):
     """Q^dim with coordinatewise addition and a translation-invariant metric."""
 
     dim: int
-    metric: str = SUP
+    metric: str
 
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.dim!r}")
-        if self.metric not in METRICS:
-            raise DomainError(f"unknown metric {self.metric!r}, expected one of {METRICS}")
+    def __init__(self, dim: int, metric: str = SUP):
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise DomainError(f"dimension must be a positive integer, got {dim!r}")
+        if metric not in METRICS:
+            raise DomainError(f"unknown metric {metric!r}, expected one of {METRICS}")
+        vars(self).update(dim=dim, metric=metric)
 
 
-@dataclass(frozen=True)
-class FiniteAbelian:
+class FiniteAbelian(Frozen):
     """Z_{m_1} x ... x Z_{m_k}; elements are residue tuples, distances use the
     discrete torus metric min(|a-b|, m-|a-b|) per coordinate, aggregated by max."""
 
     moduli: Tuple[int, ...]
 
-    def __post_init__(self):
-        moduli = tuple(int(m) for m in self.moduli)
-        object.__setattr__(self, "moduli", moduli)
-        if not moduli:
-            raise DomainError("at least one modulus is required")
-        if any(m < 2 for m in moduli):
-            raise DomainError(f"every modulus must be at least 2, got {moduli}")
+    def __init__(self, moduli: Iterable[int]):
+        moduli = tuple(moduli)
+        if not moduli or any(isinstance(m, bool) or not isinstance(m, int) or m < 2
+                             for m in moduli):
+            raise DomainError(f"moduli must be one or more integers >= 2, got {moduli}")
+        vars(self).update(moduli=moduli)
 
     @property
     def dim(self) -> int:
@@ -87,14 +111,16 @@ IntPoint = Tuple[int, ...]
 
 
 @total_ordering
-@dataclass(frozen=True)
-class DistValue:
+class DistValue(Frozen):
     """An exact distance value.  ``squared`` marks values produced by the
     euclidean-squared metric; ordering two values with different tags raises,
     since one would be a distance and the other a squared distance."""
 
     value: Rat
-    squared: bool = False
+    squared: bool
+
+    def __init__(self, value: Rat, squared: bool = False):
+        vars(self).update(value=value, squared=squared)
 
     def _compatible(self, other: "DistValue") -> None:
         if not isinstance(other, DistValue):
@@ -258,7 +284,7 @@ class Grid:
         g = math.gcd(self.scale, *itertools.chain.from_iterable(pts))
         if g > 1:
             pts = [tuple(c // g for c in p) for p in pts]
-        A = FiniteSet.__new__(FiniteSet)  # a frozen dataclass: fill its fields directly
+        A = FiniteSet.__new__(FiniteSet)  # skip __init__: fill the fields directly
         vars(A).update(ctx=self.ctx, scale=self.scale // g, ints=tuple(pts))
         return A
 
@@ -269,8 +295,7 @@ def canonical_set(ctx: GroupCtx, points: Collection[Point]) -> "FiniteSet":
     return grid.to_set(map(grid.to_int, points))
 
 
-@dataclass(frozen=True, init=False)
-class FiniteSet:
+class FiniteSet(Frozen):
     """A nonempty finite subset of an ambient group, stored on an integer grid:
     ``ints`` holds the distinct points p * scale in lexicographic order, and
     ``scale`` is the lcm of the reduced denominators (1 for residues), so

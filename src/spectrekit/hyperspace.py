@@ -15,10 +15,9 @@ every nonempty subset of the target's own finite group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, check_budget_power
 from .groups import (
@@ -66,16 +65,14 @@ CONTINUOUS_LOOKING = "continuous-looking"
 DISCONTINUITY_WITNESSED = "discontinuity-witnessed"
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     index: int
     input_distance: DistValue
     spectre_distance: DistValue
     usc_ok: bool
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Outcome of probing the spectre map along a finite family.
 
     The verdict is "discontinuity-witnessed" when the family genuinely
@@ -160,8 +157,7 @@ def perturbation_family(A: FiniteSet, count: int = 8) -> List[FiniteSet]:
 
 # -- image refutation ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class RefuteResult:
+class RefuteResult(NamedTuple):
     """Outcome of scanning a finite group for a set whose spectre equals the
     target.  ``found`` with a witness, or a completed scan proving there is
     none; ``scanned`` counts the candidate subsets examined."""

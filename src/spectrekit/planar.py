@@ -19,9 +19,8 @@ integers and build ``Fraction`` values only for the gaps they return.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
 from .groups import IntPoint, RationalSpace, to_grid
@@ -33,8 +32,7 @@ from .sets import FiniteSet
 RECT_GAP_MODES = ("all", "largest-by-area")
 
 
-@dataclass(frozen=True)
-class RectGap:
+class RectGap(NamedTuple):
     """The rectangle [a,b] x [c,d]; corners (a,c) and (b,d) belong to the
     ambient set, nothing else in the rectangle does."""
 
@@ -56,8 +54,7 @@ class RectGap:
         return (self.b, self.d)
 
 
-@dataclass(frozen=True)
-class AxisGap:
+class AxisGap(NamedTuple):
     axis: str  # "x" or "y"
     lo: Rat
     hi: Rat

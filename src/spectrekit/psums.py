@@ -13,9 +13,8 @@ not attained, and always positive since max(T) is a defect.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, check_budget_power
 from .groups import RationalSpace, canonical_set, to_grid
@@ -26,8 +25,7 @@ from .sets import FiniteSet
 _CTX_1D = RationalSpace(1)
 
 
-@dataclass(frozen=True)
-class PSpec:
+class PSpec(NamedTuple):
     """Coefficient menu P (sorted, containing 0) and the term list."""
 
     coeffs: Tuple[Rat, ...]
@@ -91,8 +89,7 @@ def gap_translation_check(T: FiniteSet, gap: Tuple[RatLike, RatLike]) -> Rat:
 
 # -- the paired-Cantor demonstration ------------------------------------------
 
-@dataclass(frozen=True)
-class DemoReport:
+class DemoReport(NamedTuple):
     """Per-level translation radii for the paired endpoint construction.
 
     Each row is (level, radius) for the gap (1/4, 1/2) of the level's set;

@@ -32,13 +32,18 @@ def parse_rat(text: str) -> Rat:
     """
     s = text.strip()
     if not _RAT_RE.fullmatch(s):
-        raise ParseError(f"malformed rational literal: {text!r}")
+        raise ParseError(f"malformed rational literal: {shorten(repr(text))}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in rational literal: {text!r}") from None
+        raise ParseError(f"zero denominator in rational literal: {shorten(repr(text))}") from None
     except ValueError:  # Python's int-string limit; the digits are not echoed
         raise ParseError("rational literal has too many digits") from None
+
+
+def shorten(text: str, limit: int = 40) -> str:
+    """``text`` to echo in an error message: whole, or its first ``limit`` characters and "..."."""
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def format_rat(value: RatLike) -> str:

@@ -8,19 +8,16 @@ serializing a report never rounds anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     label: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     name: str
     items: Tuple[CheckItem, ...]
     note: str = ""

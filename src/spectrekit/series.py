@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .errors import DomainError, SpectreKitError, check_budget_power
-from .groups import Grid, IntPoint, RationalSpace
+from .groups import Frozen, Grid, IntPoint, RationalSpace
 from .rational import Point, Rat, RatLike, as_rat, format_scaled, point
 from .reports import CheckItem, LemmaReport, report
 from .sets import FiniteSet, spectre
@@ -31,8 +31,7 @@ from .sets import FiniteSet, spectre
 TermLike = Union[RatLike, Sequence[RatLike]]
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(Frozen):
     """Terms of a finite-support series, each a point of ``ctx``, the space
     Q^dim under the sup metric: ``ints[n]`` is term n times ``scale``, the
     lcm of the reduced term denominators (1 for no terms), so equal series
@@ -45,6 +44,9 @@ class SeriesSpec:
     scale: int
     ints: Tuple[IntPoint, ...]
     ctx: RationalSpace
+
+    def __init__(self, scale: int, ints: Tuple[IntPoint, ...], ctx: RationalSpace):
+        vars(self).update(scale=scale, ints=ints, ctx=ctx)
 
     @cached_property
     def terms(self) -> Tuple[Point, ...]:
@@ -148,8 +150,7 @@ def achievement_set(s: SeriesSpec, budget: Optional[int] = None) -> FiniteSet:
 
 # -- one-dimensional gaps -----------------------------------------------------
 
-@dataclass(frozen=True)
-class Gap1D:
+class Gap1D(NamedTuple):
     """A maximal open interval (alpha, beta) missing from a scalar set whose
     endpoints belong to it.  ``dominating`` marks gaps strictly longer than
     every gap to their left; the leftmost gap qualifies vacuously."""

@@ -16,9 +16,8 @@ its candidates are not known in advance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SpectreKitError, check_budget
 from .groups import (
@@ -151,8 +150,7 @@ def center_of_distances(A: FiniteSet) -> List[DistValue]:
 
 # -- structural checkers ------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(NamedTuple):
     """Two element pairs certifying a failed check.  ``shared_value`` is the
     difference class both pairs realize (net-set check, a Point) or the
     distance both pairs realize (non-sliding check, a DistValue)."""
@@ -162,8 +160,7 @@ class PairWitness:
     shared_value: Union[Point, DistValue]
 
 
-@dataclass(frozen=True)
-class SetVerdict:
+class SetVerdict(NamedTuple):
     ok: bool
     witness: Optional[PairWitness] = None
     reason: str = ""

@@ -123,6 +123,13 @@ class TestCodecs:
         with pytest.raises(ParseError):
             decode_set(doc)
 
+    def test_a_long_residue_is_echoed_short(self):
+        doc = {"group": {"type": "FinAb", "moduli": [6]}, "points": [["7" * 4000]]}
+        with pytest.raises(ParseError) as info:
+            decode_set(doc)
+        assert str(info.value) == ("points[0][0]: residue must be an integer in [0, 6), got "
+                                   + "7" * 40 + "...")
+
     def test_dimension_mismatch_is_rejected(self):
         doc = {"group": {"type": "Qd", "dim": 2, "metric": "sup"},
                "points": [["0"]]}
@@ -440,6 +447,17 @@ class TestCliContract:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {path}: ")
         assert captured.err.count("\n") == 1 and "1" * 100 not in captured.err
+
+    @pytest.mark.parametrize("literal", ["1" * 5000 + "x", "1/" + "0" * 4000, "9" * 4000],
+                             ids=["malformed", "zero-denominator", "residue"])
+    def test_a_long_bad_literal_gives_a_short_error(self, tmp_path, capsys, literal):
+        path = write(tmp_path, "long.json", {"group": {"type": "FinAb", "moduli": [5]},
+                                             "points": [[literal]]})
+        assert run(["spectre", "--set", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: points[0][0]: ")
+        assert captured.err.count("\n") == 1 and len(captured.err) < 120
 
     def test_internal_failure_exits_four(self, tmp_path, capsys, monkeypatch):
         # An achievement set without the predicted gap (5/16, 1): 1 is missing.

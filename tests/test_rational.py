@@ -45,6 +45,17 @@ class TestParseRat:
         with pytest.raises(ParseError, match="3/0"):
             parse_rat("3/0")
 
+    @pytest.mark.parametrize("text,message", [
+        ("1/2/3", "malformed rational literal: '1/2/3'"),
+        ("3/0", "zero denominator in rational literal: '3/0'"),
+        ("1" * 5000 + "x", "malformed rational literal: '" + "1" * 39 + "..."),
+        ("3/" + "0" * 100, "zero denominator in rational literal: '3/" + "0" * 37 + "..."),
+    ], ids=["short-malformed", "short-zero", "long-malformed", "long-zero"])
+    def test_messages_echo_at_most_forty_characters_of_the_literal(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_rat(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", ["1" * 5000, "-1/" + "3" * 5000, "0." + "5" * 5000],
                              ids=["integer", "fraction", "decimal"])
     def test_too_many_digits_is_a_parse_error_without_the_digits(self, text):
