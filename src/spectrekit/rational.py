@@ -41,9 +41,9 @@ def parse_rat(text: str) -> Rat:
         raise ParseError("rational literal has too many digits") from None
 
 
-def shorten(text: str, limit: int = 40) -> str:
-    """``text`` to echo in an error message: whole, or its first ``limit`` characters and "..."."""
-    return text if len(text) <= limit else text[:limit] + "..."
+def shorten(text: str) -> str:
+    """``text`` to echo in an error message: whole, or its first 40 characters and "..."."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def format_rat(value: RatLike) -> str:
