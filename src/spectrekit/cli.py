@@ -17,7 +17,6 @@ sees every call.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -92,6 +91,8 @@ def _emit(fmt: str, obj: Dict[str, Any], rows: Rows) -> None:
     if fmt == "json":
         sys.stdout.write(dumps(obj))
         return
+    import csv  # only CSV output needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -454,7 +455,20 @@ COMMANDS: Tuple[Command, ...] = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _named(argv: Sequence[str]) -> Optional[Command]:
+    """The command whose words lead ``argv``, if any."""
+    for cmd in COMMANDS:
+        words = cmd.words.split()
+        if list(argv[:len(words)]) == words:
+            return cmd
+    return None
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The argparse tree of ``COMMANDS``.  When the leading words of ``argv``
+    name a command, only the parsers on its path are built; the parse, help
+    and error texts are the same as the full tree's."""
+    named = None if argv is None else _named(argv)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="json",
                         help="output format (default json)")
@@ -465,9 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact spectres, centers of distances, achievement sets, "
                     "and gap structure of finite sets",
     )
-    top = parser.add_subparsers(dest="command", required=True)
+    # The top usage, shown with an "unrecognized arguments" error, lists
+    # every command name whether or not its parser was built.
+    names = dict.fromkeys(cmd.words.split()[0] for cmd in COMMANDS)
+    top = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if named is None else "{%s}" % ",".join(names))
     groups: Dict[str, Any] = {}
-    for cmd in COMMANDS:
+    for cmd in COMMANDS if named is None else (named,):
         *group, leaf = cmd.words.split()
         sub = top
         if group:
@@ -485,8 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -49,7 +49,8 @@ def _decode_rat(raw: Any, where: str) -> Rat:
             return parse_rat(raw)
         except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from None
-    raise ParseError(f"{where}: rationals must be strings or integers, got {raw!r}")
+    raise ParseError(f"{where}: rationals must be strings or integers, "
+                     f"got {shorten(repr(raw))}")
 
 
 # -- groups -------------------------------------------------------------------
@@ -66,10 +67,10 @@ def decode_group(obj: Any) -> GroupCtx:
     if kind == QD:
         dim = _get(doc, "dim", "group")
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ParseError(f"group.dim must be a positive integer, got {dim!r}")
+            raise ParseError(f"group.dim must be a positive integer, got {shorten(repr(dim))}")
         metric = doc.get("metric", SUP)
         if metric not in METRICS:
-            raise ParseError(f"group.metric must be one of {METRICS}, got {metric!r}")
+            raise ParseError(f"group.metric must be one of {METRICS}, got {shorten(repr(metric))}")
         return RationalSpace(dim, metric)
     if kind == FINAB:
         moduli = _require_list(_get(doc, "moduli", "group"), "group.moduli")
@@ -77,9 +78,10 @@ def decode_group(obj: Any) -> GroupCtx:
             raise ParseError("group.moduli must be nonempty")
         for i, m in enumerate(moduli):
             if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-                raise ParseError(f"group.moduli[{i}] must be an integer >= 2, got {m!r}")
+                raise ParseError(f"group.moduli[{i}] must be an integer >= 2, "
+                                 f"got {shorten(repr(m))}")
         return FiniteAbelian(tuple(moduli))
-    raise ParseError(f"group.type must be {QD!r} or {FINAB!r}, got {kind!r}")
+    raise ParseError(f"group.type must be {QD!r} or {FINAB!r}, got {shorten(repr(kind))}")
 
 
 # -- point sets ---------------------------------------------------------------

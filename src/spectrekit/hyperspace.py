@@ -15,6 +15,7 @@ every nonempty subset of the target's own finite group.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import ceil
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -33,8 +34,19 @@ from .sets import FiniteSet, min_positive_distance, spectre, spectre_ints
 
 
 def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint]) -> int:
-    """max over p of min over q of d(p, q), in raw grid units."""
+    """max over p of min over q of d(p, q), in raw grid units.  On a line the
+    nearest q to p is a neighbour of p's place among the ascending qs, found
+    by bisection, and the metric grows with |p - q|."""
     d = grid.dist
+    if grid.moduli is None and grid.ctx.dim == 1:
+        ys = [y for (y,) in qs]
+        last = len(ys) - 1
+
+        def nearest(x: int) -> int:
+            i = bisect_left(ys, x)
+            return min(abs(x - ys[max(i - 1, 0)]), abs(ys[min(i, last)] - x))
+
+        return d((max(nearest(x) for (x,) in ps),), (0,))
     return max(min(d(p, q) for q in qs) for p in ps)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from spectrekit import FiniteAbelian, RationalSpace, finite_set, point, pspec, series_spec
-from spectrekit.cli import COMMANDS, run
+from spectrekit.cli import COMMANDS, build_parser, run
 from spectrekit.errors import ParseError
 from spectrekit.formats import (
     decode_family,
@@ -52,6 +52,27 @@ def spell(r, q):
         digits = f"{frac:0{places}d}" if places else ""
         spellings.append(f"{'-' if n < 0 else ''}{whole}.{digits}0")
     return r.choice(spellings)
+
+
+# Set documents whose offending JSON value is thousands of characters long.
+LONG_VALUE_DOCS = {
+    "coordinate": {"group": {"type": "Qd", "dim": 1}, "points": [[list(range(3000))]]},
+    "metric": {"group": {"type": "Qd", "dim": 1, "metric": "m" * 5000}, "points": [["0"]]},
+    "modulus": {"group": {"type": "FinAb", "moduli": ["9" * 5000]}, "points": [["0"]]},
+    "type": {"group": {"type": "t" * 5000}, "points": [["0"]]},
+    "dim": {"group": {"type": "Qd", "dim": list(range(3000))}, "points": [["0"]]},
+}
+
+
+def parse_outcome(parser, argv, capsys):
+    """Exit code (None when parsing succeeds), stdout, stderr and the parsed
+    namespace of ``parser.parse_args(argv)``."""
+    try:
+        ns, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, ns
 
 
 def sym3_path(tmp_path):
@@ -129,6 +150,29 @@ class TestCodecs:
             decode_set(doc)
         assert str(info.value) == ("points[0][0]: residue must be an integer in [0, 6), got "
                                    + "7" * 40 + "...")
+
+    @pytest.mark.parametrize("what", list(LONG_VALUE_DOCS))
+    def test_a_long_json_value_is_echoed_short(self, what):
+        with pytest.raises(ParseError) as info:
+            decode_set(LONG_VALUE_DOCS[what])
+        assert len(str(info.value)) < 120 and str(info.value).endswith("...")
+
+    def test_short_json_values_are_echoed_whole(self):
+        cases = [
+            ({"type": "Qd", "dim": [1, 2]}, "group.dim must be a positive integer, got [1, 2]"),
+            ({"type": "Qd", "dim": 1, "metric": "l2"},
+             "group.metric must be one of ('sup', 'taxicab', 'euclidean-squared'), got 'l2'"),
+            ({"type": "FinAb", "moduli": [6, "7"]},
+             "group.moduli[1] must be an integer >= 2, got '7'"),
+            ({"type": "Banach"}, "group.type must be 'Qd' or 'FinAb', got 'Banach'"),
+        ]
+        for group, message in cases:
+            with pytest.raises(ParseError) as info:
+                decode_group(group)
+            assert str(info.value) == message
+        with pytest.raises(ParseError) as info:
+            decode_set({"group": {"type": "Qd", "dim": 1}, "points": [[[1, 2]]]})
+        assert str(info.value) == "points[0][0]: rationals must be strings or integers, got [1, 2]"
 
     def test_dimension_mismatch_is_rejected(self):
         doc = {"group": {"type": "Qd", "dim": 2, "metric": "sup"},
@@ -458,6 +502,39 @@ class TestCliContract:
         assert captured.out == ""
         assert captured.err.startswith("error: points[0][0]: ")
         assert captured.err.count("\n") == 1 and len(captured.err) < 120
+
+    @pytest.mark.parametrize("what", list(LONG_VALUE_DOCS))
+    def test_a_long_json_value_gives_a_short_error(self, tmp_path, capsys, what):
+        path = write(tmp_path, "long.json", LONG_VALUE_DOCS[what])
+        assert run(["spectre", "--set", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and len(captured.err) < 130
+
+    @pytest.mark.parametrize("cmd", COMMANDS, ids=lambda c: c.words)
+    def test_a_named_command_parses_as_in_the_full_tree(self, capsys, cmd):
+        # Only the parsers on a named command's path are built; its help,
+        # usage errors and parse must read exactly as with every parser built.
+        words = cmd.words
+        filled = [x for flag, spec in cmd.args if spec.get("required") for x in (flag, "1")]
+        for tail in (["--help"], [], filled, [*filled, "--bogus"], ["--format", "xml"],
+                     ["--budget", "-1"], ["--set", "a", "--mode", "psychic"]):
+            argv = [*words.split(), *tail]
+            assert parse_outcome(build_parser(argv), argv, capsys) == \
+                parse_outcome(build_parser(), argv, capsys)
+        other = next(c.words for c in COMMANDS if c.words != words).split()
+        assert parse_outcome(build_parser(words.split()), [*other, "--help"], capsys)[0] == 2
+
+    def test_top_help_and_an_unknown_command_list_every_choice(self, capsys):
+        names = dict.fromkeys(c.words.split()[0] for c in COMMANDS)
+        assert run(["--help"]) == 0
+        assert "{%s}" % ",".join(names) in capsys.readouterr().out
+        assert run(["warp"]) == 2
+        assert "(choose from %s)" % ", ".join(map(repr, names)) in capsys.readouterr().err
+        for group in {c.words.split()[0] for c in COMMANDS if " " in c.words}:
+            leaves = [c.words.split()[1] for c in COMMANDS if c.words.startswith(group + " ")]
+            assert run([group, "--help"]) == 0
+            assert "{%s}" % ",".join(leaves) in capsys.readouterr().out
 
     def test_internal_failure_exits_four(self, tmp_path, capsys, monkeypatch):
         # An achievement set without the predicted gap (5/16, 1): 1 is missing.

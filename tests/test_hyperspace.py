@@ -63,6 +63,38 @@ class TestHausdorff:
             assert hausdorff(A, B).value == \
                 oracles.naive_hausdorff(A.elements, B.elements, oracles.sup_dist)
 
+    def test_one_dimensional_route_matches_naive_and_the_quadratic_scan(self):
+        # On a line the nearest neighbour is found by bisection; the same
+        # sets embedded as (x, 0) in the plane take the quadratic scan.
+        r = random.Random(304)
+        for metric, dist_fn in (("sup", oracles.sup_dist), ("taxicab", oracles.taxicab_dist),
+                                ("euclidean-squared", oracles.eucl_sq_dist)):
+            line, plane = RationalSpace(1, metric), RationalSpace(2, metric)
+            for _ in range(60):
+                a = {Fraction(r.randint(-40, 40), r.choice((1, 3, 8)))
+                     for _ in range(r.randint(1, 12))}
+                b = {Fraction(r.randint(-40, 40), r.choice((1, 5, 8)))
+                     for _ in range(r.randint(1, 12))}
+                shape = r.choice(("random", "interleaved", "disjoint"))
+                if shape == "interleaved":
+                    b = {v + Fraction(1, 16) for v in a}
+                elif shape == "disjoint":
+                    b = {v + max(a) - min(b) + r.randint(1, 9) for v in b}
+                A = finite_set(line, [(v,) for v in a])
+                B = finite_set(line, [(v,) for v in b])
+                want = oracles.naive_hausdorff(A.elements, B.elements, dist_fn)
+                d = hausdorff(A, B)
+                assert (d.value, d.squared) == (want, metric == "euclidean-squared")
+                flat = [finite_set(plane, [(v, 0) for v in S]) for S in (a, b)]
+                assert hausdorff(*flat) == d
+                directed = max(min(dist_fn(x, y) for y in A.elements) for x in B.elements)
+                tiny = Fraction(1, 10 ** 6)
+                assert fatten_contains(B, A, directed + tiny)
+                assert fatten_contains(*flat[::-1], directed + tiny)
+                if directed > 0:
+                    assert not fatten_contains(B, A, directed)
+                    assert not fatten_contains(*flat[::-1], directed)
+
     def test_triangle_inequality(self):
         r = random.Random(303)
         for _ in range(150):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -35,7 +36,9 @@ from spectrekit import (
     zero,
 )
 from gen import rand_finab_ctx, rand_finab_set, rand_point, rand_qset
-from spectrekit.sets import _perturbations
+from spectrekit import sets
+from spectrekit.groups import Grid
+from spectrekit.sets import MASK_SPAN_PER_POINT, _perturbations, spectre_ints
 
 Q1 = RationalSpace(1)
 Q2 = RationalSpace(2)
@@ -47,6 +50,45 @@ def qset(*values) -> "FiniteSet":
 
 def scalars(A) -> list:
     return [p[0] for p in A.elements]
+
+
+WIDE = 4294967291 * 4294967279  # a ~64-bit grid scale
+
+
+def line_sets(r, metric="sup", rounds=12):
+    """One-dimensional sets on both sides of the mask threshold: one and two
+    points, arithmetic progressions (whole, and with one point nudged off),
+    dyadic achievement sets, a set with its mirror image, and random sets in
+    narrow and wide spans, with negative coordinates and ~64-bit scales."""
+    ctx = RationalSpace(1, metric)
+
+    def make(values):
+        return finite_set(ctx, [(v,) for v in values])
+
+    out = [make([Fraction(-3, 7)]), make([Fraction(-1, WIDE), Fraction(5, 3)]),
+           make([Fraction(-2), Fraction(2)])]
+    for _ in range(rounds):
+        start = Fraction(r.randint(-50, 50), r.choice((1, 3, 4294967291)))
+        step = Fraction(r.randint(1, 9), r.choice((1, 7, 4294967279)))
+        ap = [start + i * step for i in range(r.randint(2, 30))]
+        out.append(make(ap))
+        out.append(make(ap + [ap[-1] + step / r.choice((3, 1000))]))
+        terms = [step / 2 ** k for k in range(r.randint(1, 5))]
+        out.append(make(start + sum(t for t, b in zip(terms, bits) if b)
+                        for bits in itertools.product((0, 1), repeat=len(terms))))
+        half = {Fraction(r.randint(0, 200), 8) for _ in range(r.randint(1, 12))}
+        out.append(make(half | {-v for v in half}))
+        out.append(make(Fraction(r.randint(-60, 60), 4) for _ in range(r.randint(1, 30))))
+        out.append(make(Fraction(r.randint(-10 ** 6, 10 ** 6), r.choice((1, 97, WIDE)))
+                        for _ in range(r.randint(1, 12))))
+    return out
+
+
+def takes_mask(A) -> bool:
+    """Whether the fast spectre of the 1-D rational set A takes the mask route."""
+    xs = [x for (x,) in A.ints]
+    g = math.gcd(*(x - xs[0] for x in xs)) or 1
+    return xs[-1] - xs[0] <= MASK_SPAN_PER_POINT * g * len(xs)
 
 
 class TestFiniteSet:
@@ -135,6 +177,25 @@ class TestSpectre:
             assert fast == spectre(A, mode="oracle")
             assert [tuple(p) for p in fast.elements] == oracles.naive_spectre_q(A.elements)
 
+    def test_line_routes_agree_with_the_oracle_and_naive(self, monkeypatch):
+        # Every route must give the same spectre: the natural fast route, the
+        # mask and the int probe loop forced for every set, the oracle's scan
+        # of A - A, the tuple loop that serves d >= 2, and the naive scan.
+        r = random.Random(218)
+        routes = set()
+        for A in line_sets(r):
+            routes.add(takes_mask(A))
+            fast = spectre(A)
+            assert list(fast.elements) == oracles.naive_spectre_q(A.elements)
+            assert spectre(A, mode="oracle") == fast
+            grid = Grid.of(A.ctx, A)
+            assert grid.to_set(spectre_ints(grid, A.ints)) == fast
+            for c in (0, 10 ** 9):  # every candidate through the probe loop, then the mask
+                monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", c)
+                assert spectre(A) == fast
+            monkeypatch.undo()
+        assert routes == {True, False}
+
     def test_fast_equals_oracle_equals_naive_modular(self):
         r = random.Random(202)
         for _ in range(100):
@@ -222,6 +283,17 @@ class TestCenterOfDistances:
             A = rand_qset(r, dim=1)
             got = [d.value for d in center_of_distances(A)]
             assert got == oracles.naive_center(A.elements, oracles.sup_dist)
+        # Under every metric, on sets that reach both routes of the spectre
+        # that a line's center is read off.
+        routes = set()
+        for metric, dist_fn in (("sup", oracles.sup_dist), ("taxicab", oracles.taxicab_dist),
+                                ("euclidean-squared", oracles.eucl_sq_dist)):
+            for A in line_sets(r, metric, rounds=4):
+                routes.add(takes_mask(A))
+                got = center_of_distances(A)
+                assert all(d.squared == (metric == "euclidean-squared") for d in got)
+                assert [d.value for d in got] == oracles.naive_center(A.elements, dist_fn)
+        assert routes == {True, False}
 
     def test_torus_center_matches_naive(self):
         r = random.Random(209)
