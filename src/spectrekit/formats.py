@@ -10,12 +10,13 @@ encode reproduces the original object exactly.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Sequence
+import math
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, ParseError
-from .groups import METRICS, SUP, FiniteAbelian, GroupCtx, RationalSpace, canonical_set
+from .groups import METRICS, SUP, FiniteAbelian, Grid, GroupCtx, RationalSpace
 from .psums import PSpec, pspec
-from .rational import Point, Rat, format_rat, format_scaled, parse_rat, shorten
+from .rational import Rat, format_rat, format_scaled, parse_pair, shorten
 from .series import SeriesSpec, series_spec
 from .sets import FiniteSet
 
@@ -41,16 +42,21 @@ def _get(obj: Mapping, key: str, what: str) -> Any:
     return obj[key]
 
 
-def _decode_rat(raw: Any, where: str) -> Rat:
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return Rat(raw)
+def _decode_pair(raw: Any, where: str) -> Tuple[int, int]:
+    """The reduced (numerator, denominator) pair of a JSON rational."""
     if isinstance(raw, str):
         try:
-            return parse_rat(raw)
+            return parse_pair(raw)
         except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from None
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw, 1
     raise ParseError(f"{where}: rationals must be strings or integers, "
                      f"got {shorten(repr(raw))}")
+
+
+def _decode_rat(raw: Any, where: str) -> Rat:
+    return Rat(*_decode_pair(raw, where))
 
 
 # -- groups -------------------------------------------------------------------
@@ -86,31 +92,30 @@ def decode_group(obj: Any) -> GroupCtx:
 
 # -- point sets ---------------------------------------------------------------
 
-def _decode_point(raw: Any, ctx: GroupCtx, where: str) -> Point:
-    coords_raw = _require_list(raw, where)
-    if len(coords_raw) != ctx.dim:
-        raise ParseError(f"{where} has {len(coords_raw)} coordinates, "
-                         f"expected {ctx.dim}")
-    coords = tuple(_decode_rat(c, f"{where}[{j}]")
-                   for j, c in enumerate(coords_raw))
-    if isinstance(ctx, FiniteAbelian):
-        for j, (c, m) in enumerate(zip(coords, ctx.moduli)):
-            if c.denominator != 1 or not 0 <= c < m:
-                raise ParseError(f"{where}[{j}]: residue must be an integer "
-                                 f"in [0, {m}), got {shorten(format_rat(c))}")
-    return coords
-
-
 def _decode_point_list(raw: Any, ctx: GroupCtx, where: str) -> FiniteSet:
+    """Each point as a tuple of reduced (numerator, denominator) pairs, checked
+    and deduplicated as pairs, then put on the grid of their lcm at once."""
     entries = _require_list(raw, where)
     if not entries:
         raise ParseError(f"{where} must be nonempty")
-    seen: Dict[Point, int] = {}
+    moduli = ctx.moduli if isinstance(ctx, FiniteAbelian) else None
+    seen: Dict[Tuple[Tuple[int, int], ...], int] = {}
     for i, entry in enumerate(entries):
-        j = seen.setdefault(_decode_point(entry, ctx, f"{where}[{i}]"), i)
+        coords = _require_list(entry, f"{where}[{i}]")
+        if len(coords) != ctx.dim:
+            raise ParseError(f"{where}[{i}] has {len(coords)} coordinates, "
+                             f"expected {ctx.dim}")
+        p = tuple(_decode_pair(c, f"{where}[{i}][{j}]") for j, c in enumerate(coords))
+        if moduli is not None:
+            for j, ((n, d), m) in enumerate(zip(p, moduli)):
+                if d != 1 or not 0 <= n < m:
+                    raise ParseError(f"{where}[{i}][{j}]: residue must be an integer "
+                                     f"in [0, {m}), got {shorten(format_scaled(n, d))}")
+        j = seen.setdefault(p, i)
         if j != i:
             raise ParseError(f"{where}[{i}] duplicates {where}[{j}]")
-    return canonical_set(ctx, seen.keys())
+    scale = math.lcm(1, *{d for p in seen for _, d in p})
+    return Grid(ctx, scale).to_set([tuple(n * (scale // d) for n, d in p) for p in seen])
 
 
 def encode_set(A: FiniteSet) -> Dict[str, Any]:

@@ -24,9 +24,9 @@ import itertools
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property, reduce, total_ordering
 from numbers import Rational
-from operator import add, mod, neg, sub
+from operator import add, mod, mul, neg, sub
 from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, GroupMismatchError
@@ -259,6 +259,19 @@ class Grid:
         dens = {c.denominator for part in parts if not isinstance(part, FiniteSet)
                 for p in part for c in p}
         return cls(ctx, math.lcm(1, *scales, *dens))
+
+    def column_dists(self, p: IntPoint, cols: Sequence[Sequence[int]]) -> Iterator[int]:
+        """The raw distances from p to the points whose coordinate columns are
+        ``cols``, in their order; on a rational space a column at a time."""
+        if self.moduli is not None:
+            return map(self.dist, itertools.repeat(p), zip(*cols))
+        parts = [map(sub, col, itertools.repeat(c)) for c, col in zip(p, cols)]
+        if self.metric == EUCLIDEAN_SQUARED:
+            parts = [map(mul, d, d) for d in map(list, parts)]
+        else:
+            parts = [map(abs, d) for d in parts]
+        combine = max if self.metric == SUP else add
+        return reduce(lambda acc, part: map(combine, acc, part), parts)
 
     def to_int(self, p: Point) -> IntPoint:
         scale = self.scale

@@ -17,11 +17,12 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from math import ceil
+from math import ceil, inf
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, check_budget_power
 from .groups import (
+    EUCLIDEAN_SQUARED,
     DistValue,
     FiniteAbelian,
     Grid,
@@ -34,20 +35,30 @@ from .sets import FiniteSet, min_positive_distance, spectre, spectre_ints
 
 
 def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint]) -> int:
-    """max over p of min over q of d(p, q), in raw grid units.  On a line the
-    nearest q to p is a neighbour of p's place among the ascending qs, found
-    by bisection, and the metric grows with |p - q|."""
+    """max over p of min over q of d(p, q), in raw grid units.
+
+    On a rational space the ascending qs are sorted on the first coordinate,
+    and d(p, q) is at least |dx| (dx^2 under euclidean-squared), dx the
+    difference of the first coordinates.  The search for p's nearest q walks
+    out from p's place among the qs, each way until that bound reaches the
+    best distance so far, and stops at once when the best is no more than the
+    largest minimum found for an earlier p, since then p cannot raise it."""
     d = grid.dist
-    if grid.moduli is None and grid.ctx.dim == 1:
-        ys = [y for (y,) in qs]
-        last = len(ys) - 1
-
-        def nearest(x: int) -> int:
-            i = bisect_left(ys, x)
-            return min(abs(x - ys[max(i - 1, 0)]), abs(ys[min(i, last)] - x))
-
-        return d((max(nearest(x) for (x,) in ps),), (0,))
-    return max(min(d(p, q) for q in qs) for p in ps)
+    if grid.moduli is not None:
+        return max(min(d(p, q) for q in qs) for p in ps)
+    firsts = [q[0] for q in qs]
+    bound = (lambda dx: dx * dx) if grid.metric == EUCLIDEAN_SQUARED else abs
+    worst = 0
+    for p in ps:
+        x, best = p[0], inf
+        i = bisect_left(firsts, x)
+        for js in (range(i, len(qs)), range(i - 1, -1, -1)):
+            for j in js:
+                if best <= worst or bound(firsts[j] - x) >= best:
+                    break
+                best = min(best, d(p, qs[j]))
+        worst = max(worst, best)
+    return worst
 
 
 def hausdorff(A: FiniteSet, B: FiniteSet) -> DistValue:

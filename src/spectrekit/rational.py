@@ -22,7 +22,29 @@ RatLike = Union[Rat, int, str]
 
 # Accepted literals: optional sign, then digits, then optionally "/digits"
 # (a fraction) or ".digits" (a terminating decimal).  Nothing else.
-_RAT_RE = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?\Z")
+_RAT_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\Z")
+
+
+def parse_pair(text: str) -> Tuple[int, int]:
+    """Parse a rational literal to its reduced (numerator, denominator) pair,
+    denominator positive: ``parse_pair("-6/8") == (-3, 4)``."""
+    m = _RAT_RE.fullmatch(text.strip())
+    if m is None:
+        raise ParseError(f"malformed rational literal: {shorten(repr(text))}")
+    sign, whole, den, dec = m.groups()
+    try:
+        n, d = int(whole), 1
+        if den is not None:
+            d = int(den)
+        elif dec is not None:
+            d = 10 ** len(dec)
+            n = n * d + int(dec)
+    except ValueError:  # Python's int-string limit; the digits are not echoed
+        raise ParseError("rational literal has too many digits") from None
+    if d == 0:
+        raise ParseError(f"zero denominator in rational literal: {shorten(repr(text))}")
+    g = math.gcd(n, d)
+    return (-n if sign == "-" else n) // g, d // g
 
 
 def parse_rat(text: str) -> Rat:
@@ -30,15 +52,7 @@ def parse_rat(text: str) -> Rat:
 
     The result is canonical: ``parse_rat("3/6") == parse_rat("1/2")``.
     """
-    s = text.strip()
-    if not _RAT_RE.fullmatch(s):
-        raise ParseError(f"malformed rational literal: {shorten(repr(text))}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in rational literal: {shorten(repr(text))}") from None
-    except ValueError:  # Python's int-string limit; the digits are not echoed
-        raise ParseError("rational literal has too many digits") from None
+    return Fraction(*parse_pair(text))
 
 
 def shorten(text: str) -> str:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, lshift, sub
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SpectreKitError, check_budget
@@ -72,38 +74,57 @@ SPECTRE_MODES = ("fast", "oracle")
 def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> FiniteSet:
     """S(A) = {z : for every x in A, x+z in A or x-z in A}.
 
-    The condition does not change when z is replaced by -z, so S(A) = -S(A).
-    The fast mode tests the candidates A - a for a single anchor a and
-    reflects the ones that pass: any admissible z moves the anchor into A in
-    one of the two directions, so z or -z lies in A - a.  The oracle mode
-    rescans the full pairwise difference set, or the whole group when it is
-    finite; either must fit in ``budget``.  It exists so the two routes can
-    be checked against each other.  On a rational line both run on plain
-    ints: the fast mode is ``line_spectre`` and the oracle probes the z >= 0
-    of A - A.
+    The condition does not change when z is replaced by -z, so S(A) = -S(A),
+    and every z of S(A) lies in A - A.  On a rational space both modes run on
+    the ints of ``pack``: the fast mode is ``line_spectre``, and the oracle
+    probes the z >= 0 of A - A.  On a finite group the fast mode tests the
+    candidates A - a for one anchor a (z moves a into A one way or the other)
+    and reflects the ones that pass, and the oracle scans the whole group.
+    The oracle's scan must fit in ``budget``; it exists so the two routes can
+    be checked against each other.
     """
     if mode not in SPECTRE_MODES:
         raise DomainError(f"unknown spectre mode {mode!r}")
     grid = Grid.of(A.ctx, A)
     pts = A.ints
-    if grid.moduli is None and A.ctx.dim == 1:
-        xs = [x for (x,) in pts]
+    if grid.moduli is None:
+        xs, unpack = pack(pts)
         if mode == "oracle":
             check_budget(len(xs) ** 2, budget)
             # A - A is symmetric, so its part z >= 0 holds z or -z for each z.
             zs = _probe_line(xs, {y - x for x, y in itertools.combinations(xs, 2)} | {0})
         else:
             zs = line_spectre(xs)
-        return grid.to_set([(z,) for z in zs] + [(-z,) for z in zs])
+        return grid.to_set(unpack(zs + [-z for z in zs]))
     candidates = None
-    if mode == "oracle" and grid.moduli is not None:
+    if mode == "oracle":
         check_budget(A.ctx.order(), budget)
         candidates = itertools.product(*(range(m) for m in grid.moduli))
-    elif mode == "oracle":
-        check_budget(len(pts) ** 2, budget)
-        # A - A is symmetric, so it already holds -z for each of its z.
-        candidates = {grid.sub(p, q) for p in pts for q in pts}
     return grid.to_set(spectre_ints(grid, pts, candidates))
+
+
+def pack(pts: Sequence[IntPoint]) -> Tuple[List[int], Callable[[Iterable[int]], List[IntPoint]]]:
+    """The points of a rational grid as ints, and the map back.
+
+    A vector v becomes the sum of v_i * W^(d-1-i), W = 2^k > 2s + 1 for the
+    largest coordinate span s.  The map is linear, and on vectors whose
+    coordinates differ by less than W, as the points, x + z and x - z for z
+    in A - A, and their differences do, it is injective and keeps the
+    lexicographic order.  ``unpack`` reads back vectors with coordinates in
+    [-W/2, W/2), such as those of A - A."""
+    cols = list(zip(*pts))
+    k = (2 * max(max(c) - min(c) for c in cols) + 1).bit_length()
+    xs = list(cols[0])
+    for col in cols[1:]:
+        xs = list(map(add, map(lshift, xs, repeat(k)), col))
+    shifts = range(k * (len(cols) - 1), -1, -k)
+    half, low_bits = 1 << (k - 1), (1 << k) - 1
+    offset = sum(half << s for s in shifts)  # makes every digit nonnegative
+
+    def unpack(zs: Iterable[int]) -> List[IntPoint]:
+        return [tuple(((z + offset) >> s & low_bits) - half for s in shifts) for z in zs]
+
+    return xs, unpack
 
 
 def spectre_ints(grid: Grid, pts: Sequence[IntPoint],
@@ -113,7 +134,7 @@ def spectre_ints(grid: Grid, pts: Sequence[IntPoint],
     passes exactly when -z does.  The default candidates are pts - a for the
     anchor a = pts[0], which hold z or -z for each z of the spectre.  The
     result may repeat a point (z = -z), so callers dedupe it.  This is the
-    loop for d >= 2 and finite groups; ``spectre`` on a line does not use it."""
+    loop for finite groups; ``spectre`` on a rational space does not use it."""
     add, sub = grid.add, grid.sub
     member = frozenset(pts)
     if candidates is None:
@@ -198,14 +219,14 @@ def center_of_distances(A: FiniteSet) -> List[DistValue]:
     On a line, x has a partner at distance |z| exactly when x+z or x-z is in
     A, so C(A) is the distance of each z >= 0 of S(A) from 0."""
     grid = Grid.of(A.ctx, A)
-    d = grid.dist
     pts = A.ints
     if grid.moduli is None and A.ctx.dim == 1:
-        return [grid.dist_value(d((z,), (0,))) for z in line_spectre([x for (x,) in pts])]
+        return [grid.dist_value(grid.dist((z,), (0,))) for z in line_spectre([x for (x,) in pts])]
     common: Optional[set] = None
+    cols = list(zip(*pts))
     for p in pts:
-        seen = {d(p, q) for q in pts}
-        common = seen if common is None else (common & seen)
+        row = grid.column_dists(p, cols)
+        common = set(row) if common is None else common.intersection(row)
         if len(common) == 1:
             # Zero is realized from every point, so once the intersection
             # shrinks to {0} no later point can change it.
@@ -235,46 +256,62 @@ class SetVerdict(NamedTuple):
         return self.ok
 
 
-def _first_shared_pair(A: FiniteSet, key: Callable[[IntPoint, IntPoint], object],
+def _first_shared_pair(A: FiniteSet, row: Callable[[int], Iterable[object]],
                        value: Callable, reason: str) -> SetVerdict:
-    """Fail on the first pair of point pairs, in combination order, whose
-    ``key`` agrees with an earlier pair's; pass when all keys differ."""
-    pts = A.ints
-    seen = {}
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        k = key(pts[i], pts[j])
-        if k in seen:
-            a, b = seen[k]
-            e = A.elements
-            return SetVerdict(False, PairWitness((e[a], e[b]), (e[i], e[j]), value(k)),
-                              reason)
-        seen[k] = (i, j)
+    """Fail on the first pair of point pairs, in combination order, whose key
+    agrees with an earlier pair's; pass when all keys differ.  ``row(i)``
+    gives the keys of the pairs (i, j) for j > i, in order.  Whole rows are
+    taken while their keys are distinct and new; the first row that is not
+    holds the first repeat, found by a pair-by-pair rescan."""
+    seen: set = set()
+    for i in range(len(A) - 1):
+        keys = list(row(i))
+        if seen.isdisjoint(keys) and len(set(keys)) == len(keys):
+            seen.update(keys)
+            continue
+        first = {}
+        for a in range(i + 1):
+            for b, k in enumerate(row(a), a + 1):
+                if k in first:
+                    e = A.elements
+                    c, d = first[k]
+                    return SetVerdict(False, PairWitness((e[c], e[d]), (e[a], e[b]), value(k)),
+                                      reason)
+                first[k] = (a, b)
     return SetVerdict(True)
 
 
 def is_net_set(A: FiniteSet) -> SetVerdict:
     """A net-set has at least three elements and no two distinct 2-element
     subsets whose differences agree up to sign.  Net-sets have trivial
-    spectre: S(A) = {0}."""
+    spectre: S(A) = {0}.  On a rational space the class of a pair x < y is
+    ``pack``'s int of y - x."""
     if len(A) < 3:
         return SetVerdict(False, reason="a net-set needs at least three elements")
     grid = Grid.of(A.ctx, A)
+    pts = A.ints
+    reason = "two pairs share a difference up to sign"
+    if grid.moduli is None:
+        xs, unpack = pack(pts)
+        return _first_shared_pair(A, lambda i: map(sub, xs[i + 1:], repeat(xs[i])),
+                                  lambda d: grid.to_set(unpack([d])).elements[0], reason)
 
     def difference_class(p: IntPoint, q: IntPoint) -> IntPoint:
         d = grid.sub(p, q)
         return max(d, grid.neg(d))
 
-    return _first_shared_pair(A, difference_class,
-                              lambda d: grid.to_set([d]).elements[0],
-                              "two pairs share a difference up to sign")
+    return _first_shared_pair(A, lambda i: map(difference_class, repeat(pts[i]), pts[i + 1:]),
+                              lambda d: grid.to_set([d]).elements[0], reason)
 
 
 def is_non_sliding(A: FiniteSet) -> SetVerdict:
     """A is non-sliding when every positive distance between its points is
     realized by exactly one unordered pair."""
     grid = Grid.of(A.ctx, A)
-    return _first_shared_pair(A, grid.dist, grid.dist_value,
-                              "two pairs realize the same distance")
+    pts = A.ints
+    cols = list(zip(*pts))
+    return _first_shared_pair(A, lambda i: grid.column_dists(pts[i], [c[i + 1:] for c in cols]),
+                              grid.dist_value, "two pairs realize the same distance")
 
 
 def min_positive_distance(A: FiniteSet) -> Optional[DistValue]:

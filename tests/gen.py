@@ -55,6 +55,42 @@ def rand_qset(r: random.Random, dim: Optional[int] = None,
     return finite_set(ctx, pts)
 
 
+WIDE = 4294967291 * 4294967279  # a ~64-bit grid scale
+
+
+def space_sets(r: random.Random, dim: int, metric: str = "sup",
+               rounds: int = 8) -> List[FiniteSet]:
+    """Random sets in Q^dim, small enough for the naive oracles: a singleton,
+    two points, unions of a set with a translate (nontrivial spectres),
+    mirror-symmetric sets, progressions and small lattices along random
+    directions, and scattered sets, with negative coordinates and ~64-bit
+    grid scales among them."""
+    ctx = RationalSpace(dim, metric)
+
+    def vec(dens, span):
+        return tuple(Fraction(r.randint(-span * d, span * d), d)
+                     for d in (r.choice(dens) for _ in range(dim)))
+
+    def shift(p, t, k=1):
+        return tuple(a + k * b for a, b in zip(p, t))
+
+    out = [finite_set(ctx, [vec((1, 3), 5)]),
+           finite_set(ctx, [vec((1, WIDE), 5), vec((7, WIDE), 5)])]
+    for _ in range(rounds):
+        base = [vec((1, 2, 3), 3) for _ in range(r.randint(1, 6))]
+        t = vec((1, 2, 3, WIDE), 4)
+        out.append(finite_set(ctx, base + [shift(b, t) for b in base]))
+        out.append(finite_set(ctx, base + [shift((0,) * dim, b, -1) for b in base]))
+        start, u, v = vec((1, 7), 20), vec((1, 5, WIDE), 3), vec((1, 4), 2)
+        out.append(finite_set(ctx, [shift(start, u, i) for i in range(r.randint(2, 12))]))
+        out.append(finite_set(ctx, [shift(shift(start, u, i), v, j)
+                                    for i in range(r.randint(1, 4)) for j in range(3)]))
+        out.append(finite_set(ctx, [vec((1, 97, WIDE), 10 ** 6)
+                                    for _ in range(r.randint(1, 10))]))
+        out.append(finite_set(ctx, [vec((1, 2), 2) for _ in range(r.randint(1, 12))]))
+    return out
+
+
 def rand_unit_qset(r: random.Random, size: int) -> FiniteSet:
     """A random finite subset of [0, 1] in one dimension."""
     ctx = RationalSpace(1)

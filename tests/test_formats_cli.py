@@ -14,6 +14,7 @@ import pytest
 from spectrekit import FiniteAbelian, RationalSpace, finite_set, point, pspec, series_spec
 from spectrekit.cli import COMMANDS, build_parser, run
 from spectrekit.errors import ParseError
+from spectrekit.rational import parse_rat
 from spectrekit.formats import (
     decode_family,
     decode_group,
@@ -138,6 +139,55 @@ class TestCodecs:
             family = decode_family({"group": encode_group(ctx),
                                     "sets": [rows, rows[::-1], rows[:1]]})
             assert family == [expected, expected, finite_set(ctx, points[:1])]
+
+    def test_pair_decoder_matches_finite_set_of_parsed_points(self):
+        # Random documents in every spelling the grammar allows: signs, "+",
+        # decimals, unreduced fractions, whitespace, JSON integers, residues
+        # at 0 and m - 1, and duplicates spelled differently, which must be
+        # reported at the first repeat and the point it repeats.
+        r = random.Random(1107)
+        outcomes = set()
+        for _ in range(300):
+            if r.random() < 0.6:
+                ctx = RationalSpace(r.randint(1, 3), r.choice(METRICS))
+                dens = r.choice(((1, 2, 5), (3, 7, 12), (1, 4294967291, 4294967279)))
+                coord = [lambda: Fraction(r.randint(-30, 30), r.choice(dens))] * ctx.dim
+            else:
+                ctx = rand_finab_ctx(r)
+                coord = [lambda m=m: Fraction(r.choice((0, m - 1, r.randrange(m))))
+                         for m in ctx.moduli]
+            points = [tuple(c() for c in coord) for _ in range(r.randint(1, 9))]
+            rows = [[spell(r, c) if r.random() < 0.8 else f" {spell(r, c)}\n" for c in p]
+                    for p in points]
+            parsed = [tuple(c if isinstance(c, int) else parse_rat(c) for c in row)
+                      for row in rows]
+            first = {}
+            repeat = next(((i, first[p]) for i, p in enumerate(parsed)
+                           if first.setdefault(p, i) != i), None)
+            doc = {"group": encode_group(ctx), "points": rows}
+            outcomes.add(repeat is None)
+            if repeat is None:
+                assert decode_set(doc) == finite_set(ctx, parsed)
+            else:
+                with pytest.raises(ParseError, match=r"^points\[%d\] duplicates points\[%d\]$"
+                                   % repeat):
+                    decode_set(doc)
+        assert outcomes == {True, False}
+
+    def test_residues_run_from_zero_to_the_modulus_minus_one(self):
+        group = {"type": "FinAb", "moduli": [5, 3]}
+        A = decode_set({"group": group, "points": [["0", 2], ["+4", "2/1"], [" 0.0", "0"]]})
+        assert A == finite_set(FiniteAbelian((5, 3)), [point(0, 2), point(4, 2), point(0, 0)])
+        for j, bad in ((0, "5"), (0, "-1"), (1, "3"), (1, "1/2")):
+            row = ["0", "0"]
+            row[j] = bad
+            with pytest.raises(ParseError, match=r"^points\[0\]\[%d\]: residue must be" % j):
+                decode_set({"group": group, "points": [row]})
+
+    def test_too_many_digits_in_a_literal_is_reported_at_the_coordinate(self):
+        with pytest.raises(ParseError) as info:
+            decode_set({"group": {"type": "Qd", "dim": 2}, "points": [["0", "1" * 5000]]})
+        assert str(info.value) == "points[0][1]: rational literal has too many digits"
 
     def test_modular_coordinates_must_be_reduced(self):
         doc = {"group": {"type": "FinAb", "moduli": [6]}, "points": [["6"]]}

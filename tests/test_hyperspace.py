@@ -25,7 +25,7 @@ from spectrekit import (
     spectre,
     translate,
 )
-from gen import rand_finab_ctx, rand_finab_set, rand_qset, rand_unit_qset
+from gen import WIDE, rand_finab_ctx, rand_finab_set, rand_qset, rand_unit_qset, space_sets
 
 Q1 = RationalSpace(1)
 Q2 = RationalSpace(2)
@@ -63,9 +63,9 @@ class TestHausdorff:
             assert hausdorff(A, B).value == \
                 oracles.naive_hausdorff(A.elements, B.elements, oracles.sup_dist)
 
-    def test_one_dimensional_route_matches_naive_and_the_quadratic_scan(self):
-        # On a line the nearest neighbour is found by bisection; the same
-        # sets embedded as (x, 0) in the plane take the quadratic scan.
+    def test_one_dimensional_sets_match_naive_and_their_planar_embedding(self):
+        # The same sets embedded as (x, 0) in the plane must give the same
+        # distance and the same fattening answers.
         r = random.Random(304)
         for metric, dist_fn in (("sup", oracles.sup_dist), ("taxicab", oracles.taxicab_dist),
                                 ("euclidean-squared", oracles.eucl_sq_dist)):
@@ -94,6 +94,29 @@ class TestHausdorff:
                 if directed > 0:
                     assert not fatten_contains(B, A, directed)
                     assert not fatten_contains(*flat[::-1], directed)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sweep_matches_naive(self, dim):
+        # The nearest-neighbour sweep against the full scan, under every
+        # metric, with fattening at, just above and just below the directed
+        # distance.  B is another set, A moved a little, or A far away.
+        r = random.Random(306 + dim)
+        tiny = Fraction(1, 10 ** 30)
+        for metric, dist_fn in (("sup", oracles.sup_dist), ("taxicab", oracles.taxicab_dist),
+                                ("euclidean-squared", oracles.eucl_sq_dist)):
+            cases = space_sets(r, dim, metric, rounds=3)
+            for A in cases:
+                t = tuple(Fraction(r.randint(-8, 8), r.choice((1, 16, WIDE))) for _ in range(dim))
+                for B in (r.choice(cases), translate(A, t), translate(A, tuple(
+                        c + 100 for c in t))):
+                    want = oracles.naive_hausdorff(A.elements, B.elements, dist_fn)
+                    d = hausdorff(A, B)
+                    assert (d.value, d.squared) == (want, metric == "euclidean-squared")
+                    directed = max(min(dist_fn(x, y) for y in A.elements) for x in B.elements)
+                    assert fatten_contains(B, A, directed + tiny)
+                    if directed > 0:
+                        assert not fatten_contains(B, A, directed)
+                        assert not fatten_contains(B, A, directed - min(tiny, directed / 2))
 
     def test_triangle_inequality(self):
         r = random.Random(303)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spectrekit import ParseError, format_rat, parse_rat, point
-from spectrekit.rational import as_rat
+from spectrekit.rational import as_rat, parse_pair
 
 
 class TestParseRat:
@@ -63,6 +64,32 @@ class TestParseRat:
         with pytest.raises(ParseError, match="too many digits") as info:
             parse_rat(text)
         assert "5" * 100 not in str(info.value) and "1" * 100 not in str(info.value)
+
+
+def literal(r: random.Random) -> str:
+    """A random accepted literal: sign or none, leading zeros, an unreduced
+    fraction or a decimal, and surrounding whitespace."""
+    whole = str(r.randint(0, 10 ** r.randint(0, 25))).zfill(r.randint(1, 4))
+    tail = r.choice(["", f"/{r.randint(1, 10 ** 6) * r.choice((1, 6, 10))}",
+                     "." + str(r.randint(0, 10 ** 8)).zfill(r.randint(1, 12))])
+    return r.choice(["", " ", "\n\t"]) + r.choice("+- ").strip() + whole + tail + \
+        r.choice(["", "  ", "\n"])
+
+
+class TestParsePair:
+    def test_matches_the_fraction_parser(self):
+        r = random.Random(120)
+        for _ in range(3000):
+            text = literal(r)
+            q = Fraction(text.strip())
+            assert parse_pair(text) == (q.numerator, q.denominator), text
+            assert parse_rat(text) == q
+
+    def test_examples(self):
+        assert parse_pair("-6/8") == (-3, 4)
+        assert parse_pair("-0.50") == (-1, 2)
+        assert parse_pair("+0/7") == (0, 1)
+        assert parse_pair(" 0012 ") == (12, 1)
 
 
 class TestFormatRat:

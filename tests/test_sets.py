@@ -35,9 +35,9 @@ from spectrekit import (
     translate,
     zero,
 )
-from gen import rand_finab_ctx, rand_finab_set, rand_point, rand_qset
+from gen import WIDE, rand_finab_ctx, rand_finab_set, rand_point, rand_qset, space_sets
 from spectrekit import sets
-from spectrekit.groups import Grid
+from spectrekit.groups import METRICS, Grid
 from spectrekit.sets import MASK_SPAN_PER_POINT, _perturbations, spectre_ints
 
 Q1 = RationalSpace(1)
@@ -50,9 +50,6 @@ def qset(*values) -> "FiniteSet":
 
 def scalars(A) -> list:
     return [p[0] for p in A.elements]
-
-
-WIDE = 4294967291 * 4294967279  # a ~64-bit grid scale
 
 
 def line_sets(r, metric="sup", rounds=12):
@@ -84,9 +81,13 @@ def line_sets(r, metric="sup", rounds=12):
     return out
 
 
+METRIC_DISTS = (("sup", oracles.sup_dist), ("taxicab", oracles.taxicab_dist),
+                ("euclidean-squared", oracles.eucl_sq_dist))
+
+
 def takes_mask(A) -> bool:
-    """Whether the fast spectre of the 1-D rational set A takes the mask route."""
-    xs = [x for (x,) in A.ints]
+    """Whether the fast spectre of the rational set A takes the mask route."""
+    xs, _ = sets.pack(A.ints)
     g = math.gcd(*(x - xs[0] for x in xs)) or 1
     return xs[-1] - xs[0] <= MASK_SPAN_PER_POINT * g * len(xs)
 
@@ -180,7 +181,7 @@ class TestSpectre:
     def test_line_routes_agree_with_the_oracle_and_naive(self, monkeypatch):
         # Every route must give the same spectre: the natural fast route, the
         # mask and the int probe loop forced for every set, the oracle's scan
-        # of A - A, the tuple loop that serves d >= 2, and the naive scan.
+        # of A - A, the tuple loop that serves finite groups, and the naive scan.
         r = random.Random(218)
         routes = set()
         for A in line_sets(r):
@@ -195,6 +196,36 @@ class TestSpectre:
                 assert spectre(A) == fast
             monkeypatch.undo()
         assert routes == {True, False}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_packed_routes_agree_with_the_oracle_and_naive(self, monkeypatch, dim):
+        # In d >= 2 the points are packed into ints: the same checks as on a
+        # line, on sets whose packed ints reach past 128 bits.
+        r = random.Random(220 + dim)
+        routes, widest = set(), 0
+        for A in space_sets(r, dim, r.choice(METRICS)):
+            routes.add(takes_mask(A))
+            widest = max(widest, max(abs(x) for x in sets.pack(A.ints)[0]).bit_length())
+            fast = spectre(A)
+            assert list(fast.elements) == oracles.naive_spectre_q(A.elements)
+            assert spectre(A, mode="oracle") == fast
+            grid = Grid.of(A.ctx, A)
+            assert grid.to_set(spectre_ints(grid, A.ints)) == fast
+            for c in (0, 10 ** 9):
+                monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", c)
+                assert spectre(A) == fast
+            monkeypatch.undo()
+        assert routes == {True, False} and widest > 128
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pack_keeps_order_and_differences(self, dim):
+        r = random.Random(223 + dim)
+        for A in space_sets(r, max(dim, 2), rounds=3) if dim > 1 else line_sets(r, rounds=3):
+            xs, unpack = sets.pack(A.ints)
+            assert xs == sorted(xs) and len(set(xs)) == len(xs)
+            for (i, p), (j, q) in itertools.combinations(enumerate(A.ints), 2):
+                d = tuple(a - b for a, b in zip(q, p))
+                assert unpack([xs[j] - xs[i], xs[i] - xs[j]]) == [d, tuple(-c for c in d)]
 
     def test_fast_equals_oracle_equals_naive_modular(self):
         r = random.Random(202)
@@ -321,12 +352,25 @@ class TestCenterOfDistances:
         ("sup", abs), ("taxicab", abs), ("euclidean-squared", lambda t: t * t)])
     def test_one_dimensional_center_is_read_off_the_spectre(self, metric, size):
         # On a line, z is in S(A) exactly when every x in A has a partner at
-        # difference +-z, which is when the distance of z is in C(A).
+        # difference +-z, which is when the distance of z is in C(A).  The
+        # center is read off the fast spectre, so compare with the oracle's,
+        # on sets that reach both routes of the fast one.
         r = random.Random(211)
-        for _ in range(100):
-            A = rand_qset(r, dim=1, size=r.randint(1, 10), metric=metric)
+        routes = set()
+        for A in line_sets(r, metric, rounds=8):
+            routes.add(takes_mask(A))
             got = [d.value for d in center_of_distances(A)]
-            assert got == sorted({size(z[0]) for z in spectre(A)})
+            assert got == sorted({size(z[0]) for z in spectre(A, "oracle")})
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_column_center_matches_naive(self, dim):
+        r = random.Random(215 + dim)
+        for metric, dist_fn in METRIC_DISTS:
+            for A in space_sets(r, dim, metric, rounds=4):
+                got = center_of_distances(A)
+                assert all(d.squared == (metric == "euclidean-squared") for d in got)
+                assert [d.value for d in got] == oracles.naive_center(A.elements, dist_fn)
 
     def test_torus_center_is_read_off_the_spectre(self):
         r = random.Random(212)
@@ -394,6 +438,39 @@ class TestStructuralCheckers:
                 got = None if w is None else (w.pair_a, w.pair_b, getattr(
                     w.shared_value, "value", w.shared_value))
                 assert got == want and verdict.ok == (want is None), (A.elements, check)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_int_checks_match_naive_and_the_tuple_route(self, dim):
+        # Packed differences and column distances give the verdicts of the
+        # naive checks and the witness of a scan over tuple keys.
+        r = random.Random(216 + dim)
+        outcomes = set()
+        for metric, dist_fn in METRIC_DISTS:
+            cases = line_sets(r, metric, rounds=4) if dim == 1 else \
+                space_sets(r, dim, metric, rounds=4)
+            for A in cases:
+                for check, key, naive in (
+                        (is_net_set, lambda p, q: max(oracles.q_sub(p, q), oracles.q_sub(q, p)),
+                         oracles.naive_is_net),
+                        (is_non_sliding, dist_fn,
+                         lambda pts: oracles.naive_is_non_sliding(pts, dist_fn))):
+                    verdict = check(A)
+                    assert verdict.ok == naive(A.elements)
+                    outcomes.add((check, verdict.ok))
+                    if check is is_net_set and len(A) < 3:
+                        continue
+                    seen, want = {}, None
+                    for pair in itertools.combinations(A.elements, 2):
+                        k = key(*pair)
+                        if k in seen:
+                            want = (seen[k], pair, k)
+                            break
+                        seen[k] = pair
+                    w = verdict.witness
+                    got = None if w is None else (w.pair_a, w.pair_b, getattr(
+                        w.shared_value, "value", w.shared_value))
+                    assert got == want, (A.elements, check)
+        assert len(outcomes) == 4
 
     def test_net_sets_have_trivial_spectre(self):
         r = random.Random(212)
