@@ -15,7 +15,11 @@ other, which keeps comparisons honest without ever leaving the rationals.
 ``Grid`` encodes the points of one context as integer tuples and carries the
 group law and the metric over to them.  A ``FiniteSet`` is stored on a grid,
 so set-level kernels read and return integer points; ``Fraction`` points are
-built only when a caller asks for them.
+built only when a caller asks for them.  A finite group runs the rational
+kernels on the lift L(A) = {a + e*m : a in A, e in {-1, 0, 1}^k}: for
+residues x and z with coordinates in (-m, m), (x + z) mod m is in A iff
+x + z is in L(A), and the torus distance from x to A is the sup distance
+from x to L(A).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from numbers import Rational
 from operator import add, mod, mul, neg, sub
 from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, GroupMismatchError
+from .errors import DomainError, GroupMismatchError, check_budget
 from .rational import Point, Rat
 
 SUP = "sup"
@@ -166,8 +170,9 @@ def validate_point(ctx: GroupCtx, p: Point) -> Point:
 
 def dist(ctx: GroupCtx, p: Point, q: Point) -> DistValue:
     """Exact distance between two points of ``ctx``."""
+    p, q = validate_point(ctx, p), validate_point(ctx, q)
     grid = Grid.of(ctx, (p, q))
-    return grid.dist_value(grid.dist(grid.to_int(p), grid.to_int(q)))
+    return grid.dist_value(next(grid.column_dists(grid.to_int(p), [[c] for c in grid.to_int(q)])))
 
 
 def triangle_holds(ab: DistValue, bc: DistValue, ac: DistValue) -> bool:
@@ -225,9 +230,10 @@ class Grid:
     A rational coordinate c becomes c * scale, so ``scale`` must be a multiple
     of every denominator the grid sees; ``Grid.of`` takes the lcm.  Residues
     of a finite Abelian group keep scale 1, and ``add``, ``sub`` and ``neg``
-    wrap them modulo ``moduli``.  ``dist`` is the context's metric on grid
-    points: the raw value is the true distance times scale (times scale
-    squared under euclidean-squared), and ``dist_value`` maps it back.
+    wrap them modulo ``moduli``.  ``dist`` is the metric on grid points, sup
+    on a finite group, where ``lift`` makes it the torus metric.  The raw
+    value is the true distance times scale (times scale squared under
+    euclidean-squared), and ``dist_value`` maps it back.
     """
 
     def __init__(self, ctx: GroupCtx, scale: int):
@@ -235,26 +241,21 @@ class Grid:
         self.scale = scale
         if isinstance(ctx, FiniteAbelian):
             ms = self.moduli = ctx.moduli
-            self.metric = None
+            self.metric = SUP
             self.add = lambda p, q: tuple(map(mod, map(add, p, q), ms))
             self.sub = lambda p, q: tuple(map(mod, map(sub, p, q), ms))
             self.neg = lambda p: tuple(map(mod, map(neg, p), ms))
-            # The torus metric: per coordinate the shorter way round, min(r, m - r).
-            self.dist = lambda p, q: max(map(min, map(mod, map(sub, p, q), ms),
-                                             map(mod, map(sub, q, p), ms)))
         else:
             self.moduli, self.metric = None, ctx.metric
             self.add = lambda p, q: tuple(map(add, p, q))
             self.sub = lambda p, q: tuple(map(sub, p, q))
             self.neg = lambda p: tuple(map(neg, p))
-            self.dist = _INT_METRICS[ctx.metric]
+        self.dist = _INT_METRICS[self.metric]
 
     @classmethod
     def of(cls, ctx: GroupCtx, *parts: Union["FiniteSet", Iterable[Point]]) -> "Grid":
         """The coarsest grid of ``ctx`` that holds every part: a FiniteSet is
         read by its scale, a sequence of loose points by their denominators."""
-        if isinstance(ctx, FiniteAbelian):
-            return cls(ctx, 1)
         scales = [part.scale for part in parts if isinstance(part, FiniteSet)]
         dens = {c.denominator for part in parts if not isinstance(part, FiniteSet)
                 for p in part for c in p}
@@ -262,16 +263,27 @@ class Grid:
 
     def column_dists(self, p: IntPoint, cols: Sequence[Sequence[int]]) -> Iterator[int]:
         """The raw distances from p to the points whose coordinate columns are
-        ``cols``, in their order; on a rational space a column at a time."""
-        if self.moduli is not None:
-            return map(self.dist, itertools.repeat(p), zip(*cols))
+        ``cols``, in order, a column at a time; min(|d|, m - |d|) on a torus."""
         parts = [map(sub, col, itertools.repeat(c)) for c, col in zip(p, cols)]
         if self.metric == EUCLIDEAN_SQUARED:
             parts = [map(mul, d, d) for d in map(list, parts)]
         else:
             parts = [map(abs, d) for d in parts]
+        if self.moduli is not None:
+            parts = [map(min, d, map(sub, itertools.repeat(m), d))
+                     for d, m in zip(map(list, parts), self.moduli)]
         combine = max if self.metric == SUP else add
         return reduce(lambda acc, part: map(combine, acc, part), parts)
+
+    def lift(self, pts: Sequence[IntPoint], budget: Optional[int] = None) -> Sequence[IntPoint]:
+        """L(pts) in the coordinates (-m, 2m - 1) that x + z reaches, sorted
+        and held to ``budget`` points; pts itself on a rational space."""
+        if self.moduli is None:
+            return pts
+        choices = [[[c + e for e in (-m, 0, m) if -m < c + e < 2 * m - 1]
+                    for c, m in zip(p, self.moduli)] for p in pts]
+        check_budget(sum(math.prod(map(len, cs)) for cs in choices), budget)
+        return sorted(q for cs in choices for q in itertools.product(*cs))
 
     def to_int(self, p: Point) -> IntPoint:
         scale = self.scale

@@ -31,21 +31,23 @@ from .groups import (
     require_same_ctx,
 )
 from .rational import Rat
-from .sets import FiniteSet, min_positive_distance, spectre, spectre_ints
+from .sets import FiniteSet, min_positive_distance, pack, probe_line, spectre
 
 
-def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint]) -> int:
+def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint],
+              budget: Optional[int] = None) -> int:
     """max over p of min over q of d(p, q), in raw grid units.
 
-    On a rational space the ascending qs are sorted on the first coordinate,
-    and d(p, q) is at least |dx| (dx^2 under euclidean-squared), dx the
-    difference of the first coordinates.  The search for p's nearest q walks
-    out from p's place among the qs, each way until that bound reaches the
-    best distance so far, and stops at once when the best is no more than the
-    largest minimum found for an earlier p, since then p cannot raise it."""
+    On a finite group the qs give way to their lift, held to ``budget``, whose
+    nearest point under the sup metric is at the torus distance.  The qs are
+    sorted on the first coordinate, and d(p, q) is at least |dx| (dx^2 under
+    euclidean-squared), dx the difference of the first coordinates.  The
+    search for p's nearest q walks out from p's place among the qs, each way
+    until that bound reaches the best distance so far, and stops at once when
+    the best is no more than the largest minimum found for an earlier p,
+    since then p cannot raise it."""
     d = grid.dist
-    if grid.moduli is not None:
-        return max(min(d(p, q) for q in qs) for p in ps)
+    qs = grid.lift(qs, budget)
     firsts = [q[0] for q in qs]
     bound = (lambda dx: dx * dx) if grid.metric == EUCLIDEAN_SQUARED else abs
     worst = 0
@@ -61,13 +63,14 @@ def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint]) -> int
     return worst
 
 
-def hausdorff(A: FiniteSet, B: FiniteSet) -> DistValue:
+def hausdorff(A: FiniteSet, B: FiniteSet, budget: Optional[int] = None) -> DistValue:
     """Exact Hausdorff distance: the larger of the two directed distances
-    max_a min_b d(a, b) and max_b min_a d(a, b)."""
+    max_a min_b d(a, b) and max_b min_a d(a, b).  On a finite group the lift
+    of each set must fit in ``budget``."""
     require_same_ctx(A.ctx, B.ctx)
     grid = Grid.of(A.ctx, A, B)
     pa, pb = grid.ints(A), grid.ints(B)
-    return grid.dist_value(max(_directed(grid, pa, pb), _directed(grid, pb, pa)))
+    return grid.dist_value(max(_directed(grid, pa, pb, budget), _directed(grid, pb, pa, budget)))
 
 
 def fatten_contains(B: FiniteSet, A: FiniteSet, eps: Rat) -> bool:
@@ -195,17 +198,23 @@ def refute_spectre_image(target: FiniteSet,
     """Search all nonempty subsets of the target's own finite Abelian group
     for one whose spectre is ``target``.  Subsets are visited in mask order
     over the lexicographically sorted group elements, so the witness, when
-    one exists, is deterministic."""
+    one exists, is deterministic.  Each subset's candidates x - min are
+    probed against its lift (``probe_line``); those that pass are distinct
+    classes, which with their negatives make the subset's spectre."""
     ctx = target.ctx
     if not isinstance(ctx, FiniteAbelian):
         raise DomainError("image refutation scans a finite Abelian group")
     order = ctx.order()
     check_budget_power(2, order, budget)
-    grid = Grid.of(ctx)
-    elems = list(itertools.product(*map(range, ctx.moduli)))
-    target_ints = frozenset(target.ints)
+    grid, ms = Grid.of(ctx), ctx.moduli
+    elems = list(itertools.product(*map(range, ms)))
+    xs, unpack = pack(elems, ms)  # every set of the group packs alike
+    lifts = [pack(grid.lift([e]), ms)[0] for e in elems]
+    want = frozenset(target.ints)
     for mask in range(1, 1 << order):
-        pts = [elems[i] for i in range(order) if mask >> i & 1]
-        if set(spectre_ints(grid, pts)) == target_ints:
-            return RefuteResult(True, grid.to_set(pts), mask)
+        members = [i for i in range(order) if mask >> i & 1]
+        pts = [xs[i] for i in members]
+        zs = probe_line(pts, [x - pts[0] for x in pts], [y for i in members for y in lifts[i]])
+        if len(zs) <= len(want) <= 2 * len(zs) and set(unpack(zs + [-z for z in zs])) == want:
+            return RefuteResult(True, grid.to_set([elems[i] for i in members]), mask)
     return RefuteResult(False, None, (1 << order) - 1)

@@ -19,7 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import add, lshift, sub
+from operator import add, lshift, mod, sub
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SpectreKitError, check_budget
@@ -75,45 +75,41 @@ def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> F
     """S(A) = {z : for every x in A, x+z in A or x-z in A}.
 
     The condition does not change when z is replaced by -z, so S(A) = -S(A),
-    and every z of S(A) lies in A - A.  On a rational space both modes run on
-    the ints of ``pack``: the fast mode is ``line_spectre``, and the oracle
-    probes the z >= 0 of A - A.  On a finite group the fast mode tests the
-    candidates A - a for one anchor a (z moves a into A one way or the other)
-    and reflects the ones that pass, and the oracle scans the whole group.
-    The oracle's scan must fit in ``budget``; it exists so the two routes can
-    be checked against each other.
+    and every z of S(A) lies in A - A.  Both modes test the ints of ``pack``
+    against those of A's lift (A itself on a rational space), which must fit
+    in ``budget``: the fast mode is ``line_spectre``, and the oracle probes
+    the z >= 0 of A - A, or the whole finite group, within ``budget``.
     """
     if mode not in SPECTRE_MODES:
         raise DomainError(f"unknown spectre mode {mode!r}")
     grid = Grid.of(A.ctx, A)
-    pts = A.ints
-    if grid.moduli is None:
-        xs, unpack = pack(pts)
-        if mode == "oracle":
-            check_budget(len(xs) ** 2, budget)
-            # A - A is symmetric, so its part z >= 0 holds z or -z for each z.
-            zs = _probe_line(xs, {y - x for x, y in itertools.combinations(xs, 2)} | {0})
-        else:
-            zs = line_spectre(xs)
-        return grid.to_set(unpack(zs + [-z for z in zs]))
-    candidates = None
-    if mode == "oracle":
+    ms = grid.moduli
+    xs, unpack = pack(A.ints, ms)
+    ys = pack(grid.lift(A.ints, budget), ms)[0] if ms else xs
+    if mode == "fast":
+        zs = line_spectre(xs, ys)
+    elif ms is None:
+        check_budget(len(xs) ** 2, budget)
+        # A - A is symmetric, so its part z >= 0 holds z or -z for each z.
+        zs = probe_line(xs, {y - x for x, y in itertools.combinations(xs, 2)} | {0}, ys)
+    else:
         check_budget(A.ctx.order(), budget)
-        candidates = itertools.product(*(range(m) for m in grid.moduli))
-    return grid.to_set(spectre_ints(grid, pts, candidates))
+        zs = probe_line(xs, pack(list(itertools.product(*map(range, ms))), ms)[0], ys)
+    return grid.to_set(unpack(zs + [-z for z in zs]))
 
 
-def pack(pts: Sequence[IntPoint]) -> Tuple[List[int], Callable[[Iterable[int]], List[IntPoint]]]:
-    """The points of a rational grid as ints, and the map back.
+def pack(pts: Sequence[IntPoint], moduli: Optional[Sequence[int]] = None
+         ) -> Tuple[List[int], Callable[[Iterable[int]], List[IntPoint]]]:
+    """The points of a grid as ints, and the map back.
 
-    A vector v becomes the sum of v_i * W^(d-1-i), W = 2^k > 2s + 1 for the
-    largest coordinate span s.  The map is linear, and on vectors whose
-    coordinates differ by less than W, as the points, x + z and x - z for z
-    in A - A, and their differences do, it is injective and keeps the
-    lexicographic order.  ``unpack`` reads back vectors with coordinates in
-    [-W/2, W/2), such as those of A - A."""
+    A vector v becomes the sum of v_i * W^(d-1-i), W = 2^k.  The map is
+    linear, and on vectors whose coordinates differ by less than W it is
+    injective and keeps the lexicographic order.  W > 2s + 1 for the largest
+    coordinate span s covers the points, x + z and x - z for z in A - A, and
+    their differences; W > 4 max(m) covers a finite group's lifts.  ``unpack``
+    reads back vectors with coordinates in [-W/2, W/2), mod m on a torus."""
     cols = list(zip(*pts))
-    k = (2 * max(max(c) - min(c) for c in cols) + 1).bit_length()
+    k = (4 * max(moduli) if moduli else 2 * max(max(c) - min(c) for c in cols) + 1).bit_length()
     xs = list(cols[0])
     for col in cols[1:]:
         xs = list(map(add, map(lshift, xs, repeat(k)), col))
@@ -122,31 +118,10 @@ def pack(pts: Sequence[IntPoint]) -> Tuple[List[int], Callable[[Iterable[int]], 
     offset = sum(half << s for s in shifts)  # makes every digit nonnegative
 
     def unpack(zs: Iterable[int]) -> List[IntPoint]:
-        return [tuple(((z + offset) >> s & low_bits) - half for s in shifts) for z in zs]
+        vs = [tuple(((z + offset) >> s & low_bits) - half for s in shifts) for z in zs]
+        return [tuple(map(mod, v, moduli)) for v in vs] if moduli else vs
 
     return xs, unpack
-
-
-def spectre_ints(grid: Grid, pts: Sequence[IntPoint],
-                 candidates: Optional[Iterable[IntPoint]] = None) -> List[IntPoint]:
-    """The spectre of the grid points ``pts``: every z of ``candidates`` with
-    x+z or x-z in pts for each x in pts, together with its negative, since z
-    passes exactly when -z does.  The default candidates are pts - a for the
-    anchor a = pts[0], which hold z or -z for each z of the spectre.  The
-    result may repeat a point (z = -z), so callers dedupe it.  This is the
-    loop for finite groups; ``spectre`` on a rational space does not use it."""
-    add, sub = grid.add, grid.sub
-    member = frozenset(pts)
-    if candidates is None:
-        candidates = {sub(p, pts[0]) for p in pts}
-    accepted = []
-    for z in candidates:
-        for x in pts:
-            if add(x, z) not in member and sub(x, z) not in member:
-                break
-        else:
-            accepted.append(z)
-    return accepted + list(map(grid.neg, accepted))
 
 
 # The mask route runs while the span holds at most this many grid positions
@@ -155,38 +130,44 @@ def spectre_ints(grid: Grid, pts: Sequence[IntPoint],
 MASK_SPAN_PER_POINT = 64
 
 
-def line_spectre(xs: Sequence[int]) -> List[int]:
-    """The z >= 0 of the spectre of the distinct ascending integers ``xs``,
-    ascending: the fast route on a line.  Such a z moves the minimum up and
-    the maximum down into xs, so only the z of xs - min with max - z in xs
-    are candidates.
+def line_spectre(xs: Sequence[int], ys: Sequence[int]) -> List[int]:
+    """The z >= 0, ascending, with x+z or x-z in the ascending ints ``ys`` for
+    each x of the distinct ascending ints ``xs`` (ys is xs on a line, their
+    packed lift on a finite group).  Such a z moves min xs into ys, and max xs
+    one way or the other; only those z of xs - min are candidates.
 
-    With g the gcd of the differences, xs is the bit mask M with a bit at
-    each position (x - min) / g, and z = k * g passes iff
-    ``M & ~((M << k) | (M >> k)) == 0``: every set bit has a set bit k
-    places above or below it.  A test costs O(span / g) bit operations, so a
-    candidate must first pass the probes of a few points, and sets wider
+    With g the gcd of the differences of ys, ys and xs are bit masks N and M
+    with a bit at each position (y - min ys) / g, and z = k * g passes iff
+    ``M & ~((N << k) | (N >> k)) == 0``: every bit of M has a bit of N k
+    places below or above it.  A test costs O(span / g) bit operations, so
+    a candidate must first pass the probes of a few points, and sets wider
     than MASK_SPAN_PER_POINT positions per point keep the probe loop."""
+    member = frozenset(ys)
     lo, hi = xs[0], xs[-1]
-    member = frozenset(xs)
-    zs = [x - lo for x in xs if hi - x + lo in member]
-    g = math.gcd(*(x - lo for x in xs)) or 1
-    if hi - lo > MASK_SPAN_PER_POINT * g * len(xs):
-        return _probe_line(xs, zs)
-    bits = bytearray((hi - lo) // (8 * g) + 1)
-    for x in xs:
-        k = (x - lo) // g
-        bits[k >> 3] |= 1 << (k & 7)
-    M = int.from_bytes(bits, "little")
+    zs = [x - lo for x in xs if hi - x + lo in member or hi + x - lo in member]
+    base, top = ys[0], ys[-1]
+    g = math.gcd(*map(sub, ys, repeat(base))) or 1
+    if top - base > MASK_SPAN_PER_POINT * g * len(xs):
+        return probe_line(xs, zs, member)
+
+    def mask(vs: Iterable[int]) -> int:
+        bits = bytearray((top - base) // (8 * g) + 1)
+        for v in vs:
+            k = (v - base) // g
+            bits[k >> 3] |= 1 << (k & 7)
+        return int.from_bytes(bits, "little")
+
+    N = mask(ys)
+    M = N if len(ys) == len(xs) else mask(xs)  # xs lies in ys: equal lengths, equal sets
     head = xs[1:9]
     return [z for z in zs
             if all(x + z in member or x - z in member for x in head)
-            and not M & ~((M << z // g) | (M >> z // g))]
+            and not M & ~((N << z // g) | (N >> z // g))]
 
 
-def _probe_line(xs: Sequence[int], candidates: Iterable[int]) -> List[int]:
-    """The candidates z with x+z or x-z in xs for each x of xs, ascending."""
-    member = frozenset(xs)
+def probe_line(xs: Sequence[int], candidates: Iterable[int], ys: Iterable[int]) -> List[int]:
+    """The candidates z with x+z or x-z in ys for each x of xs, ascending."""
+    member = frozenset(ys)
     accepted = []
     for z in candidates:
         for x in xs:
@@ -202,26 +183,32 @@ def distance_set(A: FiniteSet, x: Optional[Point] = None) -> List[DistValue]:
     without repeats; includes zero whenever x (or any point) sees itself."""
     if x is None:
         grid = Grid.of(A.ctx, A)
-        raws = {grid.dist(p, q) for p, q in itertools.combinations(A.ints, 2)}
-        raws.add(0)
+        raws = {0}.union(*map(_row_dists(grid, A.ints), range(len(A) - 1)))
     else:
         x = validate_point(A.ctx, x)
         grid = Grid.of(A.ctx, A, [x])
-        xi = grid.to_int(x)
-        raws = {grid.dist(xi, p) for p in grid.ints(A)}
+        raws = set(grid.column_dists(grid.to_int(x), list(zip(*grid.ints(A)))))
     return [grid.dist_value(r) for r in sorted(raws)]
+
+
+def _row_dists(grid: Grid, pts: Sequence[IntPoint]) -> Callable[[int], Iterator[int]]:
+    """row(i): the raw distances from pts[i] to the later points, in order."""
+    cols = list(zip(*pts))
+    return lambda i: grid.column_dists(pts[i], [c[i + 1:] for c in cols])
 
 
 def center_of_distances(A: FiniteSet) -> List[DistValue]:
     """C(A): distance values realized from every point of A.  Always contains
     zero; sorted ascending.
 
-    On a line, x has a partner at distance |z| exactly when x+z or x-z is in
-    A, so C(A) is the distance of each z >= 0 of S(A) from 0."""
+    In one dimension, x has a partner at distance d(0, z) exactly when x+z
+    or x-z is in A, so C(A) is the d(0, z) of the z >= 0 of S(A)."""
     grid = Grid.of(A.ctx, A)
     pts = A.ints
-    if grid.moduli is None and A.ctx.dim == 1:
-        return [grid.dist_value(grid.dist((z,), (0,))) for z in line_spectre([x for (x,) in pts])]
+    if A.ctx.dim == 1:
+        xs = pack(pts, grid.moduli)[0]
+        zs = line_spectre(xs, pack(grid.lift(pts), grid.moduli)[0] if grid.moduli else xs)
+        return [grid.dist_value(r) for r in sorted(set(grid.column_dists((0,), [zs])))]
     common: Optional[set] = None
     cols = list(zip(*pts))
     for p in pts:
@@ -295,12 +282,8 @@ def is_net_set(A: FiniteSet) -> SetVerdict:
         xs, unpack = pack(pts)
         return _first_shared_pair(A, lambda i: map(sub, xs[i + 1:], repeat(xs[i])),
                                   lambda d: grid.to_set(unpack([d])).elements[0], reason)
-
-    def difference_class(p: IntPoint, q: IntPoint) -> IntPoint:
-        d = grid.sub(p, q)
-        return max(d, grid.neg(d))
-
-    return _first_shared_pair(A, lambda i: map(difference_class, repeat(pts[i]), pts[i + 1:]),
+    return _first_shared_pair(A, lambda i: (max(grid.sub(p, pts[i]), grid.sub(pts[i], p))
+                                            for p in pts[i + 1:]),
                               lambda d: grid.to_set([d]).elements[0], reason)
 
 
@@ -308,10 +291,8 @@ def is_non_sliding(A: FiniteSet) -> SetVerdict:
     """A is non-sliding when every positive distance between its points is
     realized by exactly one unordered pair."""
     grid = Grid.of(A.ctx, A)
-    pts = A.ints
-    cols = list(zip(*pts))
-    return _first_shared_pair(A, lambda i: grid.column_dists(pts[i], [c[i + 1:] for c in cols]),
-                              grid.dist_value, "two pairs realize the same distance")
+    return _first_shared_pair(A, _row_dists(grid, A.ints), grid.dist_value,
+                              "two pairs realize the same distance")
 
 
 def min_positive_distance(A: FiniteSet) -> Optional[DistValue]:
@@ -320,8 +301,7 @@ def min_positive_distance(A: FiniteSet) -> Optional[DistValue]:
     if len(A) < 2:
         return None
     grid = Grid.of(A.ctx, A)
-    best = min(grid.dist(p, q) for p, q in itertools.combinations(A.ints, 2))
-    return grid.dist_value(best)
+    return grid.dist_value(min(map(min, map(_row_dists(grid, A.ints), range(len(A) - 1)))))
 
 
 # -- constructions ------------------------------------------------------------

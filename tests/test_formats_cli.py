@@ -201,6 +201,13 @@ class TestCodecs:
         assert str(info.value) == ("points[0][0]: residue must be an integer in [0, 6), got "
                                    + "7" * 40 + "...")
 
+    @pytest.mark.parametrize("group", [{"type": "FinAb", "moduli": [6]}, {"type": "Qd", "dim": 1}])
+    def test_a_decimal_past_the_digit_limit_is_reported_at_the_coordinate(self, group):
+        # Each side of the point is short enough, but the value has 8000 digits.
+        with pytest.raises(ParseError) as info:
+            decode_set({"group": group, "points": [["1" * 4000 + "." + "1" * 4000]]})
+        assert str(info.value) == "points[0][0]: rational literal has too many digits"
+
     @pytest.mark.parametrize("what", list(LONG_VALUE_DOCS))
     def test_a_long_json_value_is_echoed_short(self, what):
         with pytest.raises(ParseError) as info:
@@ -333,6 +340,16 @@ class TestCliCore:
         assert code == 3
         assert captured.out == ""
         assert "2^20000" in captured.err
+
+    def test_finite_group_lifts_honour_budget(self, tmp_path, capsys):
+        # A point of Z_2^12 lifts to 2^12 points.
+        path = write(tmp_path, "a.json", {"group": {"type": "FinAb", "moduli": [2] * 12},
+                                          "points": [["0"] * 12]})
+        for argv in (["spectre", "--set", path], ["hausdorff", "--a", path, "--b", path]):
+            assert run([*argv, "--budget", "4095"]) == 3
+            assert capsys.readouterr().out == ""
+            assert run([*argv, "--budget", "4096"]) == 0
+            capsys.readouterr()
 
     def test_spectre_oracle_mode_honours_budget(self, tmp_path, capsys):
         A = finite_set(FiniteAbelian((200000,)), [point(0), point(1)])
@@ -542,8 +559,9 @@ class TestCliContract:
         assert captured.err.startswith(f"error: cannot read {path}: ")
         assert captured.err.count("\n") == 1 and "1" * 100 not in captured.err
 
-    @pytest.mark.parametrize("literal", ["1" * 5000 + "x", "1/" + "0" * 4000, "9" * 4000],
-                             ids=["malformed", "zero-denominator", "residue"])
+    @pytest.mark.parametrize("literal", ["1" * 5000 + "x", "1/" + "0" * 4000, "9" * 4000,
+                                         "1" * 4000 + "." + "1" * 4000],
+                             ids=["malformed", "zero-denominator", "residue", "residue-digits"])
     def test_a_long_bad_literal_gives_a_short_error(self, tmp_path, capsys, literal):
         path = write(tmp_path, "long.json", {"group": {"type": "FinAb", "moduli": [5]},
                                              "points": [[literal]]})

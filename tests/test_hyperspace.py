@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -117,6 +118,27 @@ class TestHausdorff:
                     if directed > 0:
                         assert not fatten_contains(B, A, directed)
                         assert not fatten_contains(B, A, directed - min(tiny, directed / 2))
+
+    @pytest.mark.parametrize("moduli", [(2,), (7,), (12,), (2, 5), (6, 2), (4, 4), (3, 2, 2)])
+    def test_torus_sweep_matches_naive(self, moduli):
+        # On a finite group the sweep runs against the lift of the other set:
+        # the full scan under the torus metric, with singletons, and fattening
+        # at, just above and just below the directed distance.
+        r = random.Random(310 + len(moduli) * sum(moduli))
+        ctx = FiniteAbelian(moduli)
+        dist_fn = partial(oracles.torus_dist, moduli=moduli)
+        tiny = Fraction(1, 10 ** 6)
+        for _ in range(40):
+            A, B = (rand_finab_set(r, ctx, r.choice((1, r.randint(1, ctx.order()))))
+                    for _ in range(2))
+            d = hausdorff(A, B)
+            want = oracles.naive_hausdorff(A.elements, B.elements, dist_fn)
+            assert (d.value, d.squared) == (want, False)
+            directed = max(min(dist_fn(x, y) for y in A.elements) for x in B.elements)
+            assert fatten_contains(B, A, directed + tiny)
+            if directed > 0:
+                assert not fatten_contains(B, A, directed)
+                assert not fatten_contains(B, A, directed - tiny)
 
     def test_triangle_inequality(self):
         r = random.Random(303)

@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from spectrekit import (
+    BudgetExceededError,
     DistValue,
     DomainError,
     FiniteAbelian,
@@ -37,8 +38,8 @@ from spectrekit import (
 )
 from gen import WIDE, rand_finab_ctx, rand_finab_set, rand_point, rand_qset, space_sets
 from spectrekit import sets
-from spectrekit.groups import METRICS, Grid
-from spectrekit.sets import MASK_SPAN_PER_POINT, _perturbations, spectre_ints
+from spectrekit.groups import METRICS
+from spectrekit.sets import MASK_SPAN_PER_POINT, _perturbations
 
 Q1 = RationalSpace(1)
 Q2 = RationalSpace(2)
@@ -166,6 +167,20 @@ class TestSpectre:
         A = finite_set(ctx, [point(0), point(2)])
         assert scalars(spectre(A)) == [0, 2, 4]
 
+    def test_the_lift_must_fit_in_the_budget(self):
+        # A point of Z_2^12 lifts to 2^12 points; a lift past the budget is
+        # refused before it is built, here and in the default 2^20.
+        A = finite_set(FiniteAbelian((2,) * 12), [point(*[0] * 12)])
+        with pytest.raises(BudgetExceededError):
+            spectre(A, budget=4095)
+        assert spectre(A, budget=4096) == A
+        with pytest.raises(BudgetExceededError):
+            hausdorff(A, A, budget=4095)
+        assert hausdorff(A, A, budget=4096).value == 0
+        B = finite_set(FiniteAbelian((2,) * 21), [point(*[0] * 21)])
+        with pytest.raises(BudgetExceededError):
+            hausdorff(B, B)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(DomainError):
             spectre(qset(0), mode="psychic")
@@ -181,7 +196,7 @@ class TestSpectre:
     def test_line_routes_agree_with_the_oracle_and_naive(self, monkeypatch):
         # Every route must give the same spectre: the natural fast route, the
         # mask and the int probe loop forced for every set, the oracle's scan
-        # of A - A, the tuple loop that serves finite groups, and the naive scan.
+        # of A - A, and the naive scan.
         r = random.Random(218)
         routes = set()
         for A in line_sets(r):
@@ -189,8 +204,6 @@ class TestSpectre:
             fast = spectre(A)
             assert list(fast.elements) == oracles.naive_spectre_q(A.elements)
             assert spectre(A, mode="oracle") == fast
-            grid = Grid.of(A.ctx, A)
-            assert grid.to_set(spectre_ints(grid, A.ints)) == fast
             for c in (0, 10 ** 9):  # every candidate through the probe loop, then the mask
                 monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", c)
                 assert spectre(A) == fast
@@ -209,8 +222,6 @@ class TestSpectre:
             fast = spectre(A)
             assert list(fast.elements) == oracles.naive_spectre_q(A.elements)
             assert spectre(A, mode="oracle") == fast
-            grid = Grid.of(A.ctx, A)
-            assert grid.to_set(spectre_ints(grid, A.ints)) == fast
             for c in (0, 10 ** 9):
                 monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", c)
                 assert spectre(A) == fast
@@ -238,17 +249,42 @@ class TestSpectre:
                 oracles.naive_spectre_mod(A.elements, ctx.moduli)
 
     @pytest.mark.parametrize("moduli", [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2),
-                                        (2, 3), (2, 4), (2, 2, 2)])
-    def test_every_subset_of_small_groups_matches_oracle_and_naive(self, moduli):
-        # Every finite Abelian group of order at most 8, so every case with
-        # z = -z != 0: the fast route tests one of z and -z and reflects it.
+                                        (2, 3), (2, 4), (2, 2, 2), (3, 2), (4, 2), (9,),
+                                        (3, 3), (10,), (2, 5), (5, 2)])
+    def test_every_subset_of_small_groups_matches_oracle_and_naive(self, moduli, monkeypatch):
+        # Every nonempty subset of every product of cyclic groups of order at
+        # most 10, so every case with z = -z != 0: the fast route tests one of
+        # z and -z against the lift and reflects it.  Both routes of the line
+        # test are forced, and a cyclic center is read off the spectre.
         ctx = FiniteAbelian(moduli)
         group = [point(*c) for c in itertools.product(*(range(m) for m in moduli))]
+        dist_fn = partial(oracles.torus_dist, moduli=moduli)
         for mask in range(1, 1 << len(group)):
             A = finite_set(ctx, [g for i, g in enumerate(group) if mask >> i & 1])
-            fast = spectre(A)
-            assert fast == spectre(A, mode="oracle")
-            assert list(fast.elements) == oracles.naive_spectre_mod(A.elements, moduli)
+            want = oracles.naive_spectre_mod(A.elements, moduli)
+            for c in (0, 10 ** 9):  # every candidate through the probe loop, then the mask
+                monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", c)
+                assert list(spectre(A).elements) == want
+                assert list(spectre(A, mode="oracle").elements) == want
+            monkeypatch.undo()
+            if len(moduli) == 1:
+                assert [d.value for d in center_of_distances(A)] == \
+                    oracles.naive_center(A.elements, dist_fn)
+
+    @pytest.mark.parametrize("moduli", [(2, 7), (3, 7), (2, 13, 2)])
+    def test_wide_coordinates_pack_without_collisions(self, moduli, monkeypatch):
+        # A packed digit runs over (-m, 2m - 1): a wide coordinate after the
+        # first must not carry into its neighbour, on either route.
+        r = random.Random(sum(moduli))
+        ctx = FiniteAbelian(moduli)
+        for _ in range(30):
+            A = rand_finab_set(r, ctx, r.randint(1, ctx.order()))
+            want = oracles.naive_spectre_mod(A.elements, moduli)
+            for c in (0, 10 ** 9):
+                monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", c)
+                assert list(spectre(A).elements) == want
+            monkeypatch.undo()
+            assert list(spectre(A, mode="oracle").elements) == want
 
     def test_contains_zero_and_is_symmetric(self):
         r = random.Random(203)
@@ -371,6 +407,27 @@ class TestCenterOfDistances:
                 got = center_of_distances(A)
                 assert all(d.squared == (metric == "euclidean-squared") for d in got)
                 assert [d.value for d in got] == oracles.naive_center(A.elements, dist_fn)
+
+    @pytest.mark.parametrize("moduli", [(2,), (9,), (2, 2), (2, 7), (6, 2), (5, 4), (3, 2, 2)])
+    def test_torus_distances_match_naive(self, moduli):
+        # Column distances on a finite group take the shorter way round each
+        # coordinate: every distance kernel against the torus metric, with
+        # singletons and modulus-2 coordinates.
+        r = random.Random(230 + len(moduli) * sum(moduli))
+        ctx = FiniteAbelian(moduli)
+        dist_fn = partial(oracles.torus_dist, moduli=moduli)
+        for _ in range(40):
+            A = rand_finab_set(r, ctx, r.choice((1, r.randint(1, ctx.order()))))
+            pts = A.elements
+            pairs = [dist_fn(p, q) for p, q in itertools.combinations(pts, 2)]
+            x = rand_finab_set(r, ctx, 1).elements[0]
+            assert [d.value for d in distance_set(A)] == sorted({0, *pairs})
+            assert [d.value for d in distance_set(A, x)] == sorted({dist_fn(x, p) for p in pts})
+            assert dist(ctx, x, pts[-1]).value == dist_fn(x, pts[-1])
+            least = min_positive_distance(A)
+            assert (least if least is None else least.value) == (min(pairs) if pairs else None)
+            assert is_non_sliding(A).ok == oracles.naive_is_non_sliding(pts, dist_fn)
+            assert [d.value for d in center_of_distances(A)] == oracles.naive_center(pts, dist_fn)
 
     def test_torus_center_is_read_off_the_spectre(self):
         r = random.Random(212)
