@@ -245,7 +245,7 @@ def _cmd_nonsliding_check(ns: argparse.Namespace) -> Result:
 
 
 def _cmd_hausdorff(ns: argparse.Namespace) -> Result:
-    d = _dist_obj(hausdorff(_load_set(ns.a), _load_set(ns.b), ns.budget))
+    d = _dist_obj(hausdorff(_load_set(ns.a), _load_set(ns.b)))
     return d, [list(d.values())], 0
 
 

@@ -109,8 +109,12 @@ def _decode_point_list(raw: Any, ctx: GroupCtx, where: str) -> FiniteSet:
         if moduli is not None:
             for j, ((n, d), m) in enumerate(zip(p, moduli)):
                 if d != 1 or not 0 <= n < m:
+                    try:
+                        got = shorten(format_scaled(n, d))
+                    except ValueError:  # Python's int-string limit; the digits are not echoed
+                        got = "a literal with too many digits"
                     raise ParseError(f"{where}[{i}][{j}]: residue must be an integer "
-                                     f"in [0, {m}), got {shorten(format_scaled(n, d))}")
+                                     f"in [0, {m}), got {got}")
         j = seen.setdefault(p, i)
         if j != i:
             raise ParseError(f"{where}[{i}] duplicates {where}[{j}]")

@@ -15,11 +15,8 @@ other, which keeps comparisons honest without ever leaving the rationals.
 ``Grid`` encodes the points of one context as integer tuples and carries the
 group law and the metric over to them.  A ``FiniteSet`` is stored on a grid,
 so set-level kernels read and return integer points; ``Fraction`` points are
-built only when a caller asks for them.  A finite group runs the rational
-kernels on the lift L(A) = {a + e*m : a in A, e in {-1, 0, 1}^k}: for
-residues x and z with coordinates in (-m, m), (x + z) mod m is in A iff
-x + z is in L(A), and the torus distance from x to A is the sup distance
-from x to L(A).
+built only when a caller asks for them.  A finite group shares the set
+kernels through ``sets.packed_law`` and the torus terms of ``column_dists``.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from numbers import Rational
 from operator import add, mod, mul, neg, sub
 from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, GroupMismatchError, check_budget
+from .errors import DomainError, GroupMismatchError
 from .rational import Point, Rat
 
 SUP = "sup"
@@ -230,10 +227,11 @@ class Grid:
     A rational coordinate c becomes c * scale, so ``scale`` must be a multiple
     of every denominator the grid sees; ``Grid.of`` takes the lcm.  Residues
     of a finite Abelian group keep scale 1, and ``add``, ``sub`` and ``neg``
-    wrap them modulo ``moduli``.  ``dist`` is the metric on grid points, sup
-    on a finite group, where ``lift`` makes it the torus metric.  The raw
-    value is the true distance times scale (times scale squared under
-    euclidean-squared), and ``dist_value`` maps it back.
+    wrap them modulo ``moduli``.  ``dist`` is the context's metric on grid
+    points, the torus metric on a finite group, and ``column_dists`` the
+    same a column at a time.  The raw value is the true distance times scale
+    (times scale squared under euclidean-squared), and ``dist_value`` maps
+    it back.
     """
 
     def __init__(self, ctx: GroupCtx, scale: int):
@@ -241,16 +239,19 @@ class Grid:
         self.scale = scale
         if isinstance(ctx, FiniteAbelian):
             ms = self.moduli = ctx.moduli
-            self.metric = SUP
+            self.metric = SUP  # of the per-coordinate torus terms
             self.add = lambda p, q: tuple(map(mod, map(add, p, q), ms))
             self.sub = lambda p, q: tuple(map(mod, map(sub, p, q), ms))
             self.neg = lambda p: tuple(map(mod, map(neg, p), ms))
+            # The torus metric: per coordinate the shorter way round, min(r, m - r).
+            self.dist = lambda p, q: max(map(min, map(mod, map(sub, p, q), ms),
+                                             map(mod, map(sub, q, p), ms)))
         else:
             self.moduli, self.metric = None, ctx.metric
             self.add = lambda p, q: tuple(map(add, p, q))
             self.sub = lambda p, q: tuple(map(sub, p, q))
             self.neg = lambda p: tuple(map(neg, p))
-        self.dist = _INT_METRICS[self.metric]
+            self.dist = _INT_METRICS[ctx.metric]
 
     @classmethod
     def of(cls, ctx: GroupCtx, *parts: Union["FiniteSet", Iterable[Point]]) -> "Grid":
@@ -275,15 +276,15 @@ class Grid:
         combine = max if self.metric == SUP else add
         return reduce(lambda acc, part: map(combine, acc, part), parts)
 
-    def lift(self, pts: Sequence[IntPoint], budget: Optional[int] = None) -> Sequence[IntPoint]:
-        """L(pts) in the coordinates (-m, 2m - 1) that x + z reaches, sorted
-        and held to ``budget`` points; pts itself on a rational space."""
-        if self.moduli is None:
-            return pts
-        choices = [[[c + e for e in (-m, 0, m) if -m < c + e < 2 * m - 1]
-                    for c, m in zip(p, self.moduli)] for p in pts]
-        check_budget(sum(math.prod(map(len, cs)) for cs in choices), budget)
-        return sorted(q for cs in choices for q in itertools.product(*cs))
+    def sweep_keys(self, pts: Sequence[IntPoint]) -> List[Tuple[int, IntPoint]]:
+        """(first coordinate, point) for the pts, sorted; on a torus each point
+        also keyed on the far side of m/2, m away, so that for 0 <= x < m the
+        nearest key of p is at p's first torus term from x."""
+        keyed = [(p[0], p) for p in pts]
+        if self.moduli is not None:
+            m = self.moduli[0]
+            keyed += [(c + m if 2 * c < m else c - m, p) for c, p in keyed]
+        return sorted(keyed)
 
     def to_int(self, p: Point) -> IntPoint:
         scale = self.scale

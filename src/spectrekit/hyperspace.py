@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from math import ceil, inf
+from operator import sub
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, check_budget_power
@@ -31,24 +33,22 @@ from .groups import (
     require_same_ctx,
 )
 from .rational import Rat
-from .sets import FiniteSet, min_positive_distance, pack, probe_line, spectre
+from .sets import FiniteSet, line_spectre, min_positive_distance, pack, packed_law, spectre
 
 
-def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint],
-              budget: Optional[int] = None) -> int:
+def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint]) -> int:
     """max over p of min over q of d(p, q), in raw grid units.
 
-    On a finite group the qs give way to their lift, held to ``budget``, whose
-    nearest point under the sup metric is at the torus distance.  The qs are
-    sorted on the first coordinate, and d(p, q) is at least |dx| (dx^2 under
-    euclidean-squared), dx the difference of the first coordinates.  The
-    search for p's nearest q walks out from p's place among the qs, each way
-    until that bound reaches the best distance so far, and stops at once when
-    the best is no more than the largest minimum found for an earlier p,
-    since then p cannot raise it."""
+    The qs are sorted on ``Grid.sweep_keys``, and d(p, q) is at least |dx|
+    (dx^2 under euclidean-squared), dx the difference of p's first coordinate
+    and a key of q.  The search for p's nearest q walks out from p's place
+    among the keys, each way until that bound reaches the best distance so
+    far, and stops at once when the best is no more than the largest minimum
+    found for an earlier p, since then p cannot raise it."""
     d = grid.dist
-    qs = grid.lift(qs, budget)
-    firsts = [q[0] for q in qs]
+    keyed = grid.sweep_keys(qs)
+    firsts = [k for k, _ in keyed]
+    qs = [q for _, q in keyed]
     bound = (lambda dx: dx * dx) if grid.metric == EUCLIDEAN_SQUARED else abs
     worst = 0
     for p in ps:
@@ -63,14 +63,13 @@ def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint],
     return worst
 
 
-def hausdorff(A: FiniteSet, B: FiniteSet, budget: Optional[int] = None) -> DistValue:
+def hausdorff(A: FiniteSet, B: FiniteSet) -> DistValue:
     """Exact Hausdorff distance: the larger of the two directed distances
-    max_a min_b d(a, b) and max_b min_a d(a, b).  On a finite group the lift
-    of each set must fit in ``budget``."""
+    max_a min_b d(a, b) and max_b min_a d(a, b)."""
     require_same_ctx(A.ctx, B.ctx)
     grid = Grid.of(A.ctx, A, B)
     pa, pb = grid.ints(A), grid.ints(B)
-    return grid.dist_value(max(_directed(grid, pa, pb, budget), _directed(grid, pb, pa, budget)))
+    return grid.dist_value(max(_directed(grid, pa, pb), _directed(grid, pb, pa)))
 
 
 def fatten_contains(B: FiniteSet, A: FiniteSet, eps: Rat) -> bool:
@@ -198,9 +197,8 @@ def refute_spectre_image(target: FiniteSet,
     """Search all nonempty subsets of the target's own finite Abelian group
     for one whose spectre is ``target``.  Subsets are visited in mask order
     over the lexicographically sorted group elements, so the witness, when
-    one exists, is deterministic.  Each subset's candidates x - min are
-    probed against its lift (``probe_line``); those that pass are distinct
-    classes, which with their negatives make the subset's spectre."""
+    one exists, is deterministic.  Each subset's spectre is read off
+    ``line_spectre`` on the packed group elements."""
     ctx = target.ctx
     if not isinstance(ctx, FiniteAbelian):
         raise DomainError("image refutation scans a finite Abelian group")
@@ -208,13 +206,12 @@ def refute_spectre_image(target: FiniteSet,
     check_budget_power(2, order, budget)
     grid, ms = Grid.of(ctx), ctx.moduli
     elems = list(itertools.product(*map(range, ms)))
-    xs, unpack = pack(elems, ms)  # every set of the group packs alike
-    lifts = [pack(grid.lift([e]), ms)[0] for e in elems]
-    want = frozenset(target.ints)
+    xs = pack(elems, ms)[0]  # every set of the group packs alike
+    wrap, mods = packed_law(ms)
+    want, flip = frozenset(pack(target.ints, ms)[0]), partial(sub, sum(mods))  # wrap(flip(z)) = -z
     for mask in range(1, 1 << order):
-        members = [i for i in range(order) if mask >> i & 1]
-        pts = [xs[i] for i in members]
-        zs = probe_line(pts, [x - pts[0] for x in pts], [y for i in members for y in lifts[i]])
-        if len(zs) <= len(want) <= 2 * len(zs) and set(unpack(zs + [-z for z in zs])) == want:
-            return RefuteResult(True, grid.to_set([elems[i] for i in members]), mask)
+        zs = line_spectre([x for i, x in enumerate(xs) if mask >> i & 1], wrap, mods)
+        if want.issuperset(zs) and want == {*zs, *map(wrap, map(flip, zs))}:
+            return RefuteResult(True, grid.to_set(e for i, e in enumerate(elems) if mask >> i & 1),
+                                mask)
     return RefuteResult(False, None, (1 << order) - 1)

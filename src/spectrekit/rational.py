@@ -33,10 +33,12 @@ def parse_pair(text: str) -> Tuple[int, int]:
         raise ParseError(f"malformed rational literal: {shorten(repr(text))}")
     sign, whole, den, dec = m.groups()
     try:
-        digits = dec or ""  # a decimal's digits make one int, held to the same limit
-        n, d = int(whole + digits), 10 ** len(digits)
+        n, d = int(whole), 1
         if den is not None:
             d = int(den)
+        elif dec is not None:
+            d = 10 ** len(dec)
+            n = n * d + int(dec)
     except ValueError:  # Python's int-string limit; the digits are not echoed
         raise ParseError("rational literal has too many digits") from None
     if d == 0:

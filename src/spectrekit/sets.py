@@ -19,7 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import add, lshift, mod, sub
+from operator import add, lshift, mod, pos, sub
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SpectreKitError, check_budget
@@ -75,26 +75,27 @@ def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> F
     """S(A) = {z : for every x in A, x+z in A or x-z in A}.
 
     The condition does not change when z is replaced by -z, so S(A) = -S(A),
-    and every z of S(A) lies in A - A.  Both modes test the ints of ``pack``
-    against those of A's lift (A itself on a rational space), which must fit
-    in ``budget``: the fast mode is ``line_spectre``, and the oracle probes
-    the z >= 0 of A - A, or the whole finite group, within ``budget``.
+    and every z of S(A) lies in A - A.  Both modes run on the ints of
+    ``pack`` with the group law of ``packed_law``: the fast mode is
+    ``line_spectre``, and the oracle probes the z >= 0 of A - A, or the whole
+    finite group, within ``budget``.  The oracle exists so the two routes can
+    be checked against each other.
     """
     if mode not in SPECTRE_MODES:
         raise DomainError(f"unknown spectre mode {mode!r}")
     grid = Grid.of(A.ctx, A)
     ms = grid.moduli
     xs, unpack = pack(A.ints, ms)
-    ys = pack(grid.lift(A.ints, budget), ms)[0] if ms else xs
+    wrap, mods = packed_law(ms)
     if mode == "fast":
-        zs = line_spectre(xs, ys)
+        zs = line_spectre(xs, wrap, mods)
     elif ms is None:
         check_budget(len(xs) ** 2, budget)
         # A - A is symmetric, so its part z >= 0 holds z or -z for each z.
-        zs = probe_line(xs, {y - x for x, y in itertools.combinations(xs, 2)} | {0}, ys)
+        zs = probe_line(xs, {y - x for x, y in itertools.combinations(xs, 2)} | {0})
     else:
         check_budget(A.ctx.order(), budget)
-        zs = probe_line(xs, pack(list(itertools.product(*map(range, ms))), ms)[0], ys)
+        zs = probe_line(xs, pack(list(itertools.product(*map(range, ms))), ms)[0], wrap, mods)
     return grid.to_set(unpack(zs + [-z for z in zs]))
 
 
@@ -104,12 +105,12 @@ def pack(pts: Sequence[IntPoint], moduli: Optional[Sequence[int]] = None
 
     A vector v becomes the sum of v_i * W^(d-1-i), W = 2^k.  The map is
     linear, and on vectors whose coordinates differ by less than W it is
-    injective and keeps the lexicographic order.  W > 2s + 1 for the largest
-    coordinate span s covers the points, x + z and x - z for z in A - A, and
-    their differences; W > 4 max(m) covers a finite group's lifts.  ``unpack``
-    reads back vectors with coordinates in [-W/2, W/2), mod m on a torus."""
+    injective and keeps the lexicographic order: W > 2s + 1 for the largest
+    coordinate span s covers A - A and A + (A - A), and on a finite group
+    W > 3 max(m) covers the digits [0, 3m) of ``line_spectre``.  ``unpack``
+    reads back coordinates in [-W/2, W/2), mod m on a finite group."""
     cols = list(zip(*pts))
-    k = (4 * max(moduli) if moduli else 2 * max(max(c) - min(c) for c in cols) + 1).bit_length()
+    k = (3 * max(moduli) if moduli else 2 * max(max(c) - min(c) for c in cols) + 1).bit_length()
     xs = list(cols[0])
     for col in cols[1:]:
         xs = list(map(add, map(lshift, xs, repeat(k)), col))
@@ -124,58 +125,83 @@ def pack(pts: Sequence[IntPoint], moduli: Optional[Sequence[int]] = None
     return xs, unpack
 
 
+def packed_law(moduli: Optional[Sequence[int]]) -> Tuple[Callable[[int], int], List[int]]:
+    """``wrap`` and ``mods`` for the ints of ``pack``.  On a finite group mods
+    holds each modulus at its digit, m_i * W^(d-1-i), and wrap takes each
+    digit in [0, 2m) to [0, m) with one masked subtraction of their sum, so
+    wrap(x + z) is (x + z) mod m for residues x and z.  On a rational space
+    wrap is the identity and mods is empty.  Either way wrap(sum(mods) - z)
+    is -z."""
+    if not moduli:
+        return pos, []
+    k = (3 * max(moduli)).bit_length()
+    mods = [m << k * i for i, m in enumerate(reversed(moduli))]
+    mp, high = sum(mods), sum(1 << k * i + k - 1 for i in range(len(moduli)))
+    bias, ones = high - mp, (1 << k) - 1  # bias sets a digit's top bit iff it is >= m
+    return (lambda v: v - (mp & ((v + bias & high) >> (k - 1)) * ones)), mods
+
+
 # The mask route runs while the span holds at most this many grid positions
 # per point.  A mask test then costs at most about half of a full probe pass
 # over the points (measured at n = 1000 and 4000; at 128 the two are equal).
 MASK_SPAN_PER_POINT = 64
+# Past this many positions a mask test costs more than probing a few points
+# first (at 500 positions the mask alone is 1.6x faster, at 8000 2.7x slower).
+PROBE_FIRST_SPAN = 1024
 
 
-def line_spectre(xs: Sequence[int], ys: Sequence[int]) -> List[int]:
-    """The z >= 0, ascending, with x+z or x-z in the ascending ints ``ys`` for
-    each x of the distinct ascending ints ``xs`` (ys is xs on a line, their
-    packed lift on a finite group).  Such a z moves min xs into ys, and max xs
-    one way or the other; only those z of xs - min are candidates.
+def line_spectre(xs: Sequence[int], wrap: Callable[[int], int] = pos,
+                 mods: Sequence[int] = ()) -> List[int]:
+    """One of z and -z for each z of the spectre of the ascending ints ``xs``
+    of ``pack``, under the law of ``packed_law``: the fast route.  Such a z
+    or -z moves min xs onto some x, so the candidates are the x - min.  Each
+    is taken plus sum(mods), which puts a finite group's digits in [0, 2m),
+    and returned reduced by wrap.  On a line they are the z >= 0, ascending.
 
-    With g the gcd of the differences of ys, ys and xs are bit masks N and M
-    with a bit at each position (y - min ys) / g, and z = k * g passes iff
-    ``M & ~((N << k) | (N >> k)) == 0``: every bit of M has a bit of N k
-    places below or above it.  A test costs O(span / g) bit operations, so
-    a candidate must first pass the probes of a few points, and sets wider
-    than MASK_SPAN_PER_POINT positions per point keep the probe loop."""
-    member = frozenset(ys)
+    With g the gcd of the differences and of mods, xs is the bit mask M with
+    a bit at each position (x - min) / g, and N, M moved by the sums of mods,
+    has one at each x + e*m for e in {0, 1, 2}^d.  A candidate z passes iff
+    every bit of M has a bit of N z / g places above it or one
+    (2 * sum(mods) - z) / g places above it, which is -z / g on a line.  A
+    test costs O(span / g) bit operations, so a candidate on a wide mask
+    must first pass the probes of a few points, and sets wider than
+    MASK_SPAN_PER_POINT positions per point keep the probe loop."""
     lo, hi = xs[0], xs[-1]
-    zs = [x - lo for x in xs if hi - x + lo in member or hi + x - lo in member]
-    base, top = ys[0], ys[-1]
-    g = math.gcd(*map(sub, ys, repeat(base))) or 1
-    if top - base > MASK_SPAN_PER_POINT * g * len(xs):
-        return probe_line(xs, zs, member)
+    mp = sum(mods)
+    zs = list(map(add, xs, repeat(mp - lo)))
+    g = math.gcd(*map(sub, xs, repeat(lo)), *mods) or 1
+    span = (hi - lo) // g
+    if span + 2 * mp // g > MASK_SPAN_PER_POINT * len(xs):
+        return probe_line(xs, map(wrap, zs), wrap, mods)
+    if span > PROBE_FIRST_SPAN:
+        zs = probe_line(xs[-1:] + xs[1:8], map(wrap, zs), wrap, mods, xs)
+    bits = bytearray(span // 8 + 1)
+    for x in xs:
+        k = (x - lo) // g
+        bits[k >> 3] |= 1 << (k & 7)
+    M = N = int.from_bytes(bits, "little")
+    for c in mods:
+        N |= (N << c // g) | (N << 2 * c // g)
+    N <<= span  # then x + z and x - z are both right shifts
+    return [wrap(z) for z in zs
+            if not M & ~((N >> span + z // g) | (N >> span + (2 * mp - z) // g))]
 
-    def mask(vs: Iterable[int]) -> int:
-        bits = bytearray((top - base) // (8 * g) + 1)
-        for v in vs:
-            k = (v - base) // g
-            bits[k >> 3] |= 1 << (k & 7)
-        return int.from_bytes(bits, "little")
 
-    N = mask(ys)
-    M = N if len(ys) == len(xs) else mask(xs)  # xs lies in ys: equal lengths, equal sets
-    head = xs[1:9]
-    return [z for z in zs
-            if all(x + z in member or x - z in member for x in head)
-            and not M & ~((N << z // g) | (N >> z // g))]
-
-
-def probe_line(xs: Sequence[int], candidates: Iterable[int], ys: Iterable[int]) -> List[int]:
-    """The candidates z with x+z or x-z in ys for each x of xs, ascending."""
-    member = frozenset(ys)
+def probe_line(xs: Sequence[int], candidates: Iterable[int], wrap: Callable[[int], int] = pos,
+               mods: Sequence[int] = (), members: Optional[Iterable[int]] = None) -> List[int]:
+    """The candidates z with wrap(x + z) or wrap(x - z) in ``members`` (xs
+    when not given) for each x of xs, in order, under ``packed_law``."""
+    member = frozenset(xs if members is None else members)
+    mp = sum(mods)
     accepted = []
     for z in candidates:
+        zn = wrap(mp - z)
         for x in xs:
-            if x + z not in member and x - z not in member:
+            if wrap(x + z) not in member and wrap(x + zn) not in member:
                 break
         else:
             accepted.append(z)
-    return sorted(accepted)
+    return accepted
 
 
 def distance_set(A: FiniteSet, x: Optional[Point] = None) -> List[DistValue]:
@@ -202,12 +228,12 @@ def center_of_distances(A: FiniteSet) -> List[DistValue]:
     zero; sorted ascending.
 
     In one dimension, x has a partner at distance d(0, z) exactly when x+z
-    or x-z is in A, so C(A) is the d(0, z) of the z >= 0 of S(A)."""
+    or x-z is in A, so C(A) is the d(0, z) of the z of ``line_spectre``,
+    one of z and -z for each z of S(A)."""
     grid = Grid.of(A.ctx, A)
     pts = A.ints
     if A.ctx.dim == 1:
-        xs = pack(pts, grid.moduli)[0]
-        zs = line_spectre(xs, pack(grid.lift(pts), grid.moduli)[0] if grid.moduli else xs)
+        zs = line_spectre([x for (x,) in pts], *packed_law(grid.moduli))
         return [grid.dist_value(r) for r in sorted(set(grid.column_dists((0,), [zs])))]
     common: Optional[set] = None
     cols = list(zip(*pts))

@@ -121,9 +121,10 @@ class TestHausdorff:
 
     @pytest.mark.parametrize("moduli", [(2,), (7,), (12,), (2, 5), (6, 2), (4, 4), (3, 2, 2)])
     def test_torus_sweep_matches_naive(self, moduli):
-        # On a finite group the sweep runs against the lift of the other set:
-        # the full scan under the torus metric, with singletons, and fattening
-        # at, just above and just below the directed distance.
+        # On a finite group the sweep keys each point twice, once across m/2
+        # of its first coordinate: the full scan under the torus metric, with
+        # singletons, and fattening at, just above and just below the
+        # directed distance.
         r = random.Random(310 + len(moduli) * sum(moduli))
         ctx = FiniteAbelian(moduli)
         dist_fn = partial(oracles.torus_dist, moduli=moduli)

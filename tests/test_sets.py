@@ -12,7 +12,6 @@ import pytest
 
 import oracles
 from spectrekit import (
-    BudgetExceededError,
     DistValue,
     DomainError,
     FiniteAbelian,
@@ -167,20 +166,6 @@ class TestSpectre:
         A = finite_set(ctx, [point(0), point(2)])
         assert scalars(spectre(A)) == [0, 2, 4]
 
-    def test_the_lift_must_fit_in_the_budget(self):
-        # A point of Z_2^12 lifts to 2^12 points; a lift past the budget is
-        # refused before it is built, here and in the default 2^20.
-        A = finite_set(FiniteAbelian((2,) * 12), [point(*[0] * 12)])
-        with pytest.raises(BudgetExceededError):
-            spectre(A, budget=4095)
-        assert spectre(A, budget=4096) == A
-        with pytest.raises(BudgetExceededError):
-            hausdorff(A, A, budget=4095)
-        assert hausdorff(A, A, budget=4096).value == 0
-        B = finite_set(FiniteAbelian((2,) * 21), [point(*[0] * 21)])
-        with pytest.raises(BudgetExceededError):
-            hausdorff(B, B)
-
     def test_rejects_unknown_mode(self):
         with pytest.raises(DomainError):
             spectre(qset(0), mode="psychic")
@@ -254,8 +239,8 @@ class TestSpectre:
     def test_every_subset_of_small_groups_matches_oracle_and_naive(self, moduli, monkeypatch):
         # Every nonempty subset of every product of cyclic groups of order at
         # most 10, so every case with z = -z != 0: the fast route tests one of
-        # z and -z against the lift and reflects it.  Both routes of the line
-        # test are forced, and a cyclic center is read off the spectre.
+        # z and -z and reflects it.  Both routes of the line test are forced,
+        # and a cyclic center is read off the spectre.
         ctx = FiniteAbelian(moduli)
         group = [point(*c) for c in itertools.product(*(range(m) for m in moduli))]
         dist_fn = partial(oracles.torus_dist, moduli=moduli)
@@ -273,8 +258,9 @@ class TestSpectre:
 
     @pytest.mark.parametrize("moduli", [(2, 7), (3, 7), (2, 13, 2)])
     def test_wide_coordinates_pack_without_collisions(self, moduli, monkeypatch):
-        # A packed digit runs over (-m, 2m - 1): a wide coordinate after the
-        # first must not carry into its neighbour, on either route.
+        # A packed digit of x + z runs over [0, 2m - 1) before it is reduced:
+        # a wide coordinate after the first must not carry into its
+        # neighbour, on either route.
         r = random.Random(sum(moduli))
         ctx = FiniteAbelian(moduli)
         for _ in range(30):
@@ -285,6 +271,35 @@ class TestSpectre:
                 assert list(spectre(A).elements) == want
             monkeypatch.undo()
             assert list(spectre(A, mode="oracle").elements) == want
+
+    @pytest.mark.parametrize("moduli, n", [((4,) * 7, 300), ((3,) * 6, 200), ((2,) * 10, 150),
+                                           ((5, 2, 7), 40)])
+    def test_high_rank_groups_match_naive(self, moduli, n):
+        # Rank 3 to 10 with up to 300 points, where a point has 2^k
+        # to 3^k translates by multiples of the moduli: no kernel may build
+        # them.  A is B together with B + h for h of order 2, so h is in S(A).
+        r = random.Random(len(moduli) * 100 + n)
+        ctx = FiniteAbelian(moduli)
+        B = rand_finab_set(r, ctx, n // 2)
+        h = point(*(m // 2 if m % 2 == 0 else 0 for m in moduli))
+        A = minkowski_sum(B, finite_set(ctx, [zero(ctx), h]))
+        want = oracles.naive_spectre_mod(A.elements, moduli)
+        assert h in want and list(spectre(A).elements) == want
+        other = rand_finab_set(r, ctx, n // 2)
+        dist_fn = partial(oracles.torus_dist, moduli=moduli)
+        want = oracles.naive_hausdorff(A.elements, other.elements, dist_fn)
+        assert hausdorff(A, other).value == want
+        small = rand_finab_set(r, ctx, 40)
+        assert [d.value for d in center_of_distances(small)] == \
+            oracles.naive_center(small.elements, dist_fn)
+
+    def test_a_point_of_a_rank_21_group(self):
+        # 2^21 elements and as many translates of the point by moduli.
+        ctx = FiniteAbelian((2,) * 21)
+        A = finite_set(ctx, [point(*[1] * 21)])
+        assert spectre(A) == finite_set(ctx, [zero(ctx)])
+        assert hausdorff(A, A).value == 0
+        assert [d.value for d in center_of_distances(A)] == [0]
 
     def test_contains_zero_and_is_symmetric(self):
         r = random.Random(203)
