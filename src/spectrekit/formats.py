@@ -14,7 +14,7 @@ import math
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, ParseError
-from .groups import METRICS, SUP, FiniteAbelian, Grid, GroupCtx, RationalSpace
+from .groups import SUP, FiniteAbelian, Grid, GroupCtx, RationalSpace
 from .psums import PSpec, pspec
 from .rational import Rat, format_rat, format_scaled, parse_pair, shorten
 from .series import SeriesSpec, series_spec
@@ -68,25 +68,17 @@ def encode_group(ctx: GroupCtx) -> Dict[str, Any]:
 
 
 def decode_group(obj: Any) -> GroupCtx:
+    """The context of a group document.  The JSON shape is checked here, and
+    the constructors' rule on dim, metric and moduli is reported at its key."""
     doc = _require_mapping(obj, "group")
     kind = _get(doc, "type", "group")
-    if kind == QD:
-        dim = _get(doc, "dim", "group")
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ParseError(f"group.dim must be a positive integer, got {shorten(repr(dim))}")
-        metric = doc.get("metric", SUP)
-        if metric not in METRICS:
-            raise ParseError(f"group.metric must be one of {METRICS}, got {shorten(repr(metric))}")
-        return RationalSpace(dim, metric)
-    if kind == FINAB:
-        moduli = _require_list(_get(doc, "moduli", "group"), "group.moduli")
-        if not moduli:
-            raise ParseError("group.moduli must be nonempty")
-        for i, m in enumerate(moduli):
-            if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-                raise ParseError(f"group.moduli[{i}] must be an integer >= 2, "
-                                 f"got {shorten(repr(m))}")
-        return FiniteAbelian(tuple(moduli))
+    try:
+        if kind == QD:
+            return RationalSpace(_get(doc, "dim", "group"), doc.get("metric", SUP))
+        if kind == FINAB:
+            return FiniteAbelian(_require_list(_get(doc, "moduli", "group"), "group.moduli"))
+    except DomainError as exc:
+        raise ParseError(f"group.{exc}") from exc
     raise ParseError(f"group.type must be {QD!r} or {FINAB!r}, got {shorten(repr(kind))}")
 
 

@@ -13,10 +13,11 @@ tags the result; tagged and untagged values refuse to be ordered against each
 other, which keeps comparisons honest without ever leaving the rationals.
 
 ``Grid`` encodes the points of one context as integer tuples and carries the
-group law and the metric over to them.  A ``FiniteSet`` is stored on a grid,
-so set-level kernels read and return integer points; ``Fraction`` points are
-built only when a caller asks for them.  A finite group shares the set
-kernels through ``sets.packed_law`` and the torus terms of ``column_dists``.
+metric over to them.  A ``FiniteSet`` is stored on a grid, so set-level
+kernels read and return integer points; ``Fraction`` points are built only
+when a caller asks for them.  The group law runs on one int per point, in
+``sets.pack``, whose ``wrap`` reduces residues mod m; a finite group shares
+the set kernels through it and the torus terms of ``column_dists``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, reduce, total_ordering
 from numbers import Rational
-from operator import add, mod, mul, neg, sub
+from operator import add, mod, mul, sub
 from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, GroupMismatchError
-from .rational import Point, Rat
+from .rational import Point, Rat, shorten
 
 SUP = "sup"
 TAXICAB = "taxicab"
@@ -76,9 +77,9 @@ class RationalSpace(Frozen):
 
     def __init__(self, dim: int, metric: str = SUP):
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise DomainError(f"dimension must be a positive integer, got {dim!r}")
+            raise DomainError(f"dim must be a positive integer, got {shorten(repr(dim))}")
         if metric not in METRICS:
-            raise DomainError(f"unknown metric {metric!r}, expected one of {METRICS}")
+            raise DomainError(f"metric must be one of {METRICS}, got {shorten(repr(metric))}")
         vars(self).update(dim=dim, metric=metric)
 
 
@@ -90,9 +91,11 @@ class FiniteAbelian(Frozen):
 
     def __init__(self, moduli: Iterable[int]):
         moduli = tuple(moduli)
-        if not moduli or any(isinstance(m, bool) or not isinstance(m, int) or m < 2
-                             for m in moduli):
-            raise DomainError(f"moduli must be one or more integers >= 2, got {moduli}")
+        if not moduli:
+            raise DomainError("moduli must be nonempty")
+        for i, m in enumerate(moduli):
+            if isinstance(m, bool) or not isinstance(m, int) or m < 2:
+                raise DomainError(f"moduli[{i}] must be an integer >= 2, got {shorten(repr(m))}")
         vars(self).update(moduli=moduli)
 
     @property
@@ -190,17 +193,14 @@ def triangle_holds(ab: DistValue, bc: DistValue, ac: DistValue) -> bool:
 
 
 def subgroup_generated(ctx: FiniteAbelian, x: Point):
-    """The cyclic subgroup <x> of a finite Abelian group, as a FiniteSet."""
+    """The cyclic subgroup <x> of a finite Abelian group, as a FiniteSet: the
+    multiples k*x mod m for k below the order of x, lcm(m_i / gcd(x_i, m_i))."""
     if not isinstance(ctx, FiniteAbelian):
         raise DomainError("subgroup enumeration needs a finite Abelian context")
-    grid = Grid.of(ctx)
+    grid = Grid(ctx, 1)
     x = grid.to_int(validate_point(ctx, x))
-    seen = [grid.to_int(zero(ctx))]
-    current = x
-    while current != seen[0]:
-        seen.append(current)
-        current = grid.add(current, x)
-    return grid.to_set(seen)
+    order = math.lcm(*(m // math.gcd(c, m) for c, m in zip(x, ctx.moduli)))
+    return grid.to_set(tuple(k * c % m for c, m in zip(x, ctx.moduli)) for k in range(order))
 
 
 # -- the integer grid ---------------------------------------------------------
@@ -221,17 +221,17 @@ def to_grid(p: Sequence[Rat], scale: int) -> Optional[IntPoint]:
 
 
 class Grid:
-    """The points of one context as integer tuples, with the group law and the
-    metric carried over to them.
+    """The points of one context as integer tuples, with the metric carried
+    over to them; the group law on them is ``sets.pack``'s.
 
     A rational coordinate c becomes c * scale, so ``scale`` must be a multiple
     of every denominator the grid sees; ``Grid.of`` takes the lcm.  Residues
-    of a finite Abelian group keep scale 1, and ``add``, ``sub`` and ``neg``
-    wrap them modulo ``moduli``.  ``dist`` is the context's metric on grid
-    points, the torus metric on a finite group, and ``column_dists`` the
-    same a column at a time.  The raw value is the true distance times scale
-    (times scale squared under euclidean-squared), and ``dist_value`` maps
-    it back.
+    of a finite Abelian group keep scale 1, and ``moduli`` holds their
+    moduli (None on a rational space).  ``dist`` is the context's metric on
+    grid points, the torus metric on a finite group, and ``column_dists``
+    the same a column at a time.  The raw value is the true distance times
+    scale (times scale squared under euclidean-squared), and ``dist_value``
+    maps it back.
     """
 
     def __init__(self, ctx: GroupCtx, scale: int):
@@ -240,17 +240,11 @@ class Grid:
         if isinstance(ctx, FiniteAbelian):
             ms = self.moduli = ctx.moduli
             self.metric = SUP  # of the per-coordinate torus terms
-            self.add = lambda p, q: tuple(map(mod, map(add, p, q), ms))
-            self.sub = lambda p, q: tuple(map(mod, map(sub, p, q), ms))
-            self.neg = lambda p: tuple(map(mod, map(neg, p), ms))
             # The torus metric: per coordinate the shorter way round, min(r, m - r).
             self.dist = lambda p, q: max(map(min, map(mod, map(sub, p, q), ms),
                                              map(mod, map(sub, q, p), ms)))
         else:
             self.moduli, self.metric = None, ctx.metric
-            self.add = lambda p, q: tuple(map(add, p, q))
-            self.sub = lambda p, q: tuple(map(sub, p, q))
-            self.neg = lambda p: tuple(map(neg, p))
             self.dist = _INT_METRICS[ctx.metric]
 
     @classmethod
@@ -303,8 +297,9 @@ class Grid:
     def to_set(self, int_points: Iterable[IntPoint]) -> "FiniteSet":
         """The FiniteSet of points made by this grid's operations (valid by
         construction, so not validated again; on one grid, integer order is
-        rational order).  The scale is divided by the gcd of all coordinates."""
-        pts = sorted(set(int_points))
+        rational order).  The scale is divided by the gcd of all coordinates.
+        Duplicates go in insertion order, so sorted input sorts in linear time."""
+        pts = sorted(dict.fromkeys(int_points))
         if not pts:
             raise DomainError("a finite set needs at least one point")
         g = math.gcd(self.scale, *itertools.chain.from_iterable(pts))

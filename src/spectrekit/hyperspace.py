@@ -33,7 +33,7 @@ from .groups import (
     require_same_ctx,
 )
 from .rational import Rat
-from .sets import FiniteSet, line_spectre, min_positive_distance, pack, packed_law, spectre
+from .sets import FiniteSet, line_spectre, min_positive_distance, pack, spectre
 
 
 def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint]) -> int:
@@ -206,8 +206,7 @@ def refute_spectre_image(target: FiniteSet,
     check_budget_power(2, order, budget)
     grid, ms = Grid.of(ctx), ctx.moduli
     elems = list(itertools.product(*map(range, ms)))
-    xs = pack(elems, ms)[0]  # every set of the group packs alike
-    wrap, mods = packed_law(ms)
+    xs, _, wrap, mods = pack(elems, ms)  # every set of the group packs alike
     want, flip = frozenset(pack(target.ints, ms)[0]), partial(sub, sum(mods))  # wrap(flip(z)) = -z
     for mask in range(1, 1 << order):
         zs = line_spectre([x for i, x in enumerate(xs) if mask >> i & 1], wrap, mods)

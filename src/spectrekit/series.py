@@ -26,7 +26,7 @@ from .errors import DomainError, SpectreKitError, check_budget_power
 from .groups import Frozen, Grid, IntPoint, RationalSpace
 from .rational import Point, Rat, RatLike, as_rat, format_scaled, point
 from .reports import CheckItem, LemmaReport, report
-from .sets import FiniteSet, spectre
+from .sets import FiniteSet, pack, spectre
 
 TermLike = Union[RatLike, Sequence[RatLike]]
 
@@ -103,17 +103,18 @@ def _subset_sums_cached(ctx: RationalSpace, terms: Tuple[IntPoint, ...],
     """All sums of c_n * t_n / scale over the grid terms t_n with each c_n
     either 0 or taken from the integer ``menu``: the subset sums for the
     menu (1,), the P-sums for the nonzero coefficients of P on their own
-    grid.  Every argument is part of the cache key."""
+    grid.  The sums run on the ints of ``sets.pack``, which are sorted and
+    unpacked once.  Every argument is part of the cache key."""
     # The budget check stays in the caller so a tight budget still raises
     # even when the enumeration happens to be cached.  FiniteSet is frozen,
     # so sharing one instance across callers is safe.
-    grid = Grid(ctx, scale)
-    add = grid.add
-    sums = {(0,) * ctx.dim}
-    for t in terms:
-        steps = [tuple(c * x for x in t) for c in menu]
-        sums |= {add(s, d) for d in steps for s in sums}
-    return grid.to_set(sums)
+    reach = max(menu, default=0) * sum(max(map(abs, t)) for t in terms)  # bounds a sum
+    xs, unpack, _, _ = pack([(0,) * ctx.dim, *terms], None, reach)  # xs[0] is 0
+    sums = {0}
+    for t in xs[1:]:
+        steps = [c * t for c in menu]
+        sums |= {s + d for d in steps for s in sums}
+    return Grid(ctx, scale).to_set(unpack(sorted(sums)))
 
 
 def initial_subsums(s: SeriesSpec, k: int,

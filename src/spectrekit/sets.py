@@ -19,7 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import add, lshift, mod, pos, sub
+from operator import add, itemgetter, lshift, pos, sub
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SpectreKitError, check_budget
@@ -51,14 +51,21 @@ def translate(A: FiniteSet, t: Point) -> FiniteSet:
 
 def negate(A: FiniteSet) -> FiniteSet:
     grid = Grid.of(A.ctx, A)
-    return grid.to_set(map(grid.neg, A.ints))
+    xs, unpack, wrap, mods = pack(A.ints, grid.moduli, max(map(abs, itertools.chain(*A.ints))))
+    mp = sum(mods)
+    return grid.to_set(unpack(sorted(wrap(mp - x) for x in xs)))
 
 
 def minkowski_sum(A: FiniteSet, B: FiniteSet) -> FiniteSet:
+    """A + B, each sum wrap(x + y) of ``pack``'s ints, which are sorted and
+    unpacked once."""
     require_same_ctx(A.ctx, B.ctx)
     grid = Grid.of(A.ctx, A, B)
-    pb = grid.ints(B)
-    return grid.to_set(grid.add(p, q) for p in grid.ints(A) for q in pb)
+    pa, pb = grid.ints(A), grid.ints(B)
+    reach = 2 * max(map(abs, itertools.chain(*pa, *pb)))  # bounds |coordinate| of a sum
+    xs, unpack, wrap, _ = pack(pa, grid.moduli, reach)
+    ys = pack(pb, grid.moduli, reach)[0]
+    return grid.to_set(unpack(sorted(set(map(wrap, [x + y for x in xs for y in ys])))))
 
 
 def difference_set(A: FiniteSet) -> FiniteSet:
@@ -76,17 +83,16 @@ def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> F
 
     The condition does not change when z is replaced by -z, so S(A) = -S(A),
     and every z of S(A) lies in A - A.  Both modes run on the ints of
-    ``pack`` with the group law of ``packed_law``: the fast mode is
-    ``line_spectre``, and the oracle probes the z >= 0 of A - A, or the whole
-    finite group, within ``budget``.  The oracle exists so the two routes can
-    be checked against each other.
+    ``pack`` under its group law: the fast mode is ``line_spectre``, and
+    the oracle probes the z >= 0 of A - A, or the whole finite group, within
+    ``budget``.  The oracle exists so the two routes can be checked against
+    each other.
     """
     if mode not in SPECTRE_MODES:
         raise DomainError(f"unknown spectre mode {mode!r}")
     grid = Grid.of(A.ctx, A)
     ms = grid.moduli
-    xs, unpack = pack(A.ints, ms)
-    wrap, mods = packed_law(ms)
+    xs, unpack, wrap, mods = pack(A.ints, ms)
     if mode == "fast":
         zs = line_spectre(xs, wrap, mods)
     elif ms is None:
@@ -96,49 +102,54 @@ def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> F
     else:
         check_budget(A.ctx.order(), budget)
         zs = probe_line(xs, pack(list(itertools.product(*map(range, ms))), ms)[0], wrap, mods)
-    return grid.to_set(unpack(zs + [-z for z in zs]))
+    mp = sum(mods)
+    return grid.to_set(unpack(zs + [wrap(mp - z) for z in zs]))
 
 
-def pack(pts: Sequence[IntPoint], moduli: Optional[Sequence[int]] = None
-         ) -> Tuple[List[int], Callable[[Iterable[int]], List[IntPoint]]]:
-    """The points of a grid as ints, and the map back.
+def pack(pts: Sequence[IntPoint], moduli: Optional[Sequence[int]] = None,
+         reach: Optional[int] = None) -> Tuple[List[int], Callable[[Iterable[int]], List[IntPoint]],
+                                               Callable[[int], int], List[int]]:
+    """The points of a grid as ints, the map back, and the group law on the
+    ints: ``xs, unpack, wrap, mods``.
 
     A vector v becomes the sum of v_i * W^(d-1-i), W = 2^k.  The map is
     linear, and on vectors whose coordinates differ by less than W it is
-    injective and keeps the lexicographic order: W > 2s + 1 for the largest
-    coordinate span s covers A - A and A + (A - A), and on a finite group
-    W > 3 max(m) covers the digits [0, 3m) of ``line_spectre``.  ``unpack``
-    reads back coordinates in [-W/2, W/2), mod m on a finite group."""
-    cols = list(zip(*pts))
-    k = (3 * max(moduli) if moduli else 2 * max(max(c) - min(c) for c in cols) + 1).bit_length()
-    xs = list(cols[0])
+    injective and keeps the lexicographic order.  ``unpack`` reads back
+    coordinates in [-W/2, W/2), a column at a time.
+
+    On Q^d, W > 2 * reach + 1, so unpack reads back every coordinate of
+    absolute value at most ``reach``.  It defaults to the largest coordinate
+    span s of pts, given in lexicographic order, which covers A - A; a
+    kernel that adds points passes the largest |coordinate| a sum can
+    reach.  There wrap is the identity and mods is empty.
+
+    On a finite group, W > 3 max(m) covers the digits [0, 3m) of
+    ``line_spectre``.  mods holds each modulus at its digit,
+    m_i * W^(d-1-i), and wrap takes each digit in [0, 2m) to [0, m) with one
+    masked subtraction of their sum, so wrap(x + y) is (x + y) mod m for
+    residues x and y.  Either way wrap(sum(mods) - x) is -x, and unpack
+    takes wrapped ints."""
+    cols = [list(map(itemgetter(i), pts)) for i in range(len(pts[0]))]
+    if reach is None:  # the first column of sorted pts ascends
+        reach = max([cols[0][-1] - cols[0][0]] + [max(c) - min(c) for c in cols[1:]])
+    k = (3 * max(moduli) if moduli else 2 * reach + 1).bit_length()
+    xs = cols[0]
     for col in cols[1:]:
         xs = list(map(add, map(lshift, xs, repeat(k)), col))
     shifts = range(k * (len(cols) - 1), -1, -k)
     half, low_bits = 1 << (k - 1), (1 << k) - 1
-    offset = sum(half << s for s in shifts)  # makes every digit nonnegative
+    high = sum(half << s for s in shifts)  # the top bit of every digit
 
     def unpack(zs: Iterable[int]) -> List[IntPoint]:
-        vs = [tuple(((z + offset) >> s & low_bits) - half for s in shifts) for z in zs]
-        return [tuple(map(mod, v, moduli)) for v in vs] if moduli else vs
+        zs = [z + high for z in zs]  # makes every digit nonnegative
+        return list(zip(*[[(z >> s & low_bits) - half for z in zs] for s in shifts]))
 
-    return xs, unpack
-
-
-def packed_law(moduli: Optional[Sequence[int]]) -> Tuple[Callable[[int], int], List[int]]:
-    """``wrap`` and ``mods`` for the ints of ``pack``.  On a finite group mods
-    holds each modulus at its digit, m_i * W^(d-1-i), and wrap takes each
-    digit in [0, 2m) to [0, m) with one masked subtraction of their sum, so
-    wrap(x + z) is (x + z) mod m for residues x and z.  On a rational space
-    wrap is the identity and mods is empty.  Either way wrap(sum(mods) - z)
-    is -z."""
     if not moduli:
-        return pos, []
-    k = (3 * max(moduli)).bit_length()
-    mods = [m << k * i for i, m in enumerate(reversed(moduli))]
-    mp, high = sum(mods), sum(1 << k * i + k - 1 for i in range(len(moduli)))
-    bias, ones = high - mp, (1 << k) - 1  # bias sets a digit's top bit iff it is >= m
-    return (lambda v: v - (mp & ((v + bias & high) >> (k - 1)) * ones)), mods
+        return xs, unpack, pos, []
+    mods = [m << s for m, s in zip(moduli, shifts)]
+    mp = sum(mods)
+    bias = high - mp  # sets a digit's top bit iff it is >= m
+    return xs, unpack, (lambda v: v - (mp & ((v + bias & high) >> (k - 1)) * low_bits)), mods
 
 
 # The mask route runs while the span holds at most this many grid positions
@@ -153,7 +164,7 @@ PROBE_FIRST_SPAN = 1024
 def line_spectre(xs: Sequence[int], wrap: Callable[[int], int] = pos,
                  mods: Sequence[int] = ()) -> List[int]:
     """One of z and -z for each z of the spectre of the ascending ints ``xs``
-    of ``pack``, under the law of ``packed_law``: the fast route.  Such a z
+    of ``pack``, under its ``wrap`` and ``mods``: the fast route.  Such a z
     or -z moves min xs onto some x, so the candidates are the x - min.  Each
     is taken plus sum(mods), which puts a finite group's digits in [0, 2m),
     and returned reduced by wrap.  On a line they are the z >= 0, ascending.
@@ -190,7 +201,7 @@ def line_spectre(xs: Sequence[int], wrap: Callable[[int], int] = pos,
 def probe_line(xs: Sequence[int], candidates: Iterable[int], wrap: Callable[[int], int] = pos,
                mods: Sequence[int] = (), members: Optional[Iterable[int]] = None) -> List[int]:
     """The candidates z with wrap(x + z) or wrap(x - z) in ``members`` (xs
-    when not given) for each x of xs, in order, under ``packed_law``."""
+    when not given) for each x of xs, in order, under ``pack``'s law."""
     member = frozenset(xs if members is None else members)
     mp = sum(mods)
     accepted = []
@@ -233,7 +244,8 @@ def center_of_distances(A: FiniteSet) -> List[DistValue]:
     grid = Grid.of(A.ctx, A)
     pts = A.ints
     if A.ctx.dim == 1:
-        zs = line_spectre([x for (x,) in pts], *packed_law(grid.moduli))
+        xs, _, wrap, mods = pack(pts, grid.moduli)
+        zs = line_spectre(xs, wrap, mods)
         return [grid.dist_value(r) for r in sorted(set(grid.column_dists((0,), [zs])))]
     common: Optional[set] = None
     cols = list(zip(*pts))
@@ -297,20 +309,20 @@ def _first_shared_pair(A: FiniteSet, row: Callable[[int], Iterable[object]],
 def is_net_set(A: FiniteSet) -> SetVerdict:
     """A net-set has at least three elements and no two distinct 2-element
     subsets whose differences agree up to sign.  Net-sets have trivial
-    spectre: S(A) = {0}.  On a rational space the class of a pair x < y is
-    ``pack``'s int of y - x."""
+    spectre: S(A) = {0}.  A pair x < y of ``pack``'s ints is keyed on
+    y - x on a rational space, and on the larger of wrap(y - x) and
+    wrap(x - y) on a finite group."""
     if len(A) < 3:
         return SetVerdict(False, reason="a net-set needs at least three elements")
     grid = Grid.of(A.ctx, A)
-    pts = A.ints
-    reason = "two pairs share a difference up to sign"
+    xs, unpack, wrap, mods = pack(A.ints, grid.moduli)
     if grid.moduli is None:
-        xs, unpack = pack(pts)
-        return _first_shared_pair(A, lambda i: map(sub, xs[i + 1:], repeat(xs[i])),
-                                  lambda d: grid.to_set(unpack([d])).elements[0], reason)
-    return _first_shared_pair(A, lambda i: (max(grid.sub(p, pts[i]), grid.sub(pts[i], p))
-                                            for p in pts[i + 1:]),
-                              lambda d: grid.to_set([d]).elements[0], reason)
+        row = lambda i: map(sub, xs[i + 1:], repeat(xs[i]))
+    else:
+        mp = sum(mods)
+        row = lambda i: (max(wrap(mp + y - xs[i]), wrap(mp + xs[i] - y)) for y in xs[i + 1:])
+    return _first_shared_pair(A, row, lambda d: grid.to_set(unpack([d])).elements[0],
+                              "two pairs share a difference up to sign")
 
 
 def is_non_sliding(A: FiniteSet) -> SetVerdict:

@@ -419,6 +419,11 @@ class TestCliSeries:
         assert captured.out == ""
         assert "got dimension 3" in captured.err
 
+    def test_an_empty_series_of_dimension_zero_is_rejected_at_dim(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", '{"terms": [], "dim": 0}')
+        assert run(["series", "enumerate", "--series", path]) == 2
+        assert capsys.readouterr().err == "error: dim must be a positive integer, got 0\n"
+
 
 class TestCliPlanar:
     def test_example_check(self, capsys):

@@ -2,7 +2,9 @@
 
 Each kernel that computes on ``groups.Grid`` is compared with the naive
 ``Fraction`` routes in ``oracles.py`` over Q^1, Q^2 under each metric, Q^3
-under the taxicab metric, Z_a and Z_a x Z_b.  A FiniteSet stores its points
+under the taxicab metric, Z_a and Z_a x Z_b.  Rational points are drawn
+near the origin or, with a small span, near +-10^30, where a sum reaches
+far past the span of its summands.  A FiniteSet stores its points
 on a grid, so its equality, hashing, membership and encoding are compared
 with the same questions asked of its ``Fraction`` points.  A SeriesSpec is
 stored the same way, and its achievement set shares its scale.
@@ -29,6 +31,8 @@ from spectrekit import (
     initial_subsums,
     minkowski_sum,
     negate,
+    pspec,
+    psum_set,
     rect_gaps,
     series_spec,
     translate,
@@ -55,9 +59,22 @@ def ctxs(draw):
 
 
 @st.composite
+def far_points(draw, dim, min_size=1, max_size=6):
+    """Points of span at most 8 whose coordinates lie near +-10^30: a kernel
+    that packs their sums with a digit width fitted to the span reads them
+    back wrong."""
+    center = [draw(st.sampled_from((-1, 1))) * 10 ** 30 + draw(st.integers(-5, 5))
+              for _ in range(dim)]
+    offsets = draw(st.lists(st.tuples(*[rats] * dim), min_size=min_size, max_size=max_size))
+    return [tuple(c + o for c, o in zip(center, p)) for p in offsets]
+
+
+@st.composite
 def points_in(draw, ctx, min_size=1, max_size=6):
     if isinstance(ctx, FiniteAbelian):
         coord = [st.integers(0, m - 1).map(Fraction) for m in ctx.moduli]
+    elif draw(st.booleans()):
+        return draw(far_points(ctx.dim, min_size, max_size))
     else:
         coord = [rats] * ctx.dim
     return draw(st.lists(st.tuples(*coord), min_size=min_size, max_size=max_size))
@@ -103,11 +120,16 @@ def test_set_arithmetic_matches_oracles(case):
     assert elements(translate(A, t)) == sorted({add(p, t) for p in A})
 
 
-@given(st.integers(1, 2).flatmap(
-    lambda d: st.lists(st.tuples(*[rats] * d), min_size=1, max_size=6)))
-def test_subset_sums_match_oracle(terms):
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[rats] * d), min_size=1, max_size=6) | far_points(d)),
+    st.lists(st.fractions(0, 3, max_denominator=4), max_size=2))
+def test_subset_sums_match_oracle(terms, menu):
     s = series_spec(terms)
     assert elements(initial_subsums(s, s.count)) == oracles.naive_subset_sums(terms)
+    if s.dim == 1:
+        ts = [abs(t) for (t,) in terms]  # P-sums take nonnegative terms
+        P = sorted({Fraction(0), *menu})
+        assert [x for (x,) in psum_set(pspec(P, ts)).elements] == oracles.naive_psum(P, ts)
 
 
 @given(ctx_with_sets(1))

@@ -224,6 +224,16 @@ class TestDistValue:
                                   DistValue(Fraction(5), squared=True))
 
 
+def _moduli_up_to(order, prefix=()):
+    """Every tuple of moduli >= 2 whose product is at most ``order``."""
+    for m in range(2, order + 1):
+        yield prefix + (m,)
+        yield from _moduli_up_to(order // m, prefix + (m,))
+
+
+SMALL_GROUPS = list(_moduli_up_to(12))
+
+
 class TestSubgroups:
     def test_generated_subgroup_example(self):
         ctx = FiniteAbelian((12,))
@@ -243,6 +253,17 @@ class TestSubgroups:
                 assert negate(singleton).elements[0] in members
                 for b in members:
                     assert translate(singleton, b).elements[0] in members
+
+    @pytest.mark.parametrize("moduli", SMALL_GROUPS, ids=lambda ms: "x".join(map(str, ms)))
+    def test_generated_subgroup_is_the_multiples(self, moduli):
+        # Every element x of every group of order <= 12: <x> is 0, x, x + x,
+        # ... up to the first return to 0.
+        ctx = FiniteAbelian(moduli)
+        for x in ctx.elements():
+            want = [zero(ctx)]
+            while (nxt := oracles.mod_add(want[-1], x, moduli)) != want[0]:
+                want.append(nxt)
+            assert list(subgroup_generated(ctx, x).elements) == sorted(want)
 
     def test_generated_subgroup_requires_finite_ctx(self):
         with pytest.raises(DomainError):

@@ -87,7 +87,7 @@ METRIC_DISTS = (("sup", oracles.sup_dist), ("taxicab", oracles.taxicab_dist),
 
 def takes_mask(A) -> bool:
     """Whether the fast spectre of the rational set A takes the mask route."""
-    xs, _ = sets.pack(A.ints)
+    xs = sets.pack(A.ints)[0]
     g = math.gcd(*(x - xs[0] for x in xs)) or 1
     return xs[-1] - xs[0] <= MASK_SPAN_PER_POINT * g * len(xs)
 
@@ -217,7 +217,7 @@ class TestSpectre:
     def test_pack_keeps_order_and_differences(self, dim):
         r = random.Random(223 + dim)
         for A in space_sets(r, max(dim, 2), rounds=3) if dim > 1 else line_sets(r, rounds=3):
-            xs, unpack = sets.pack(A.ints)
+            xs, unpack, _, _ = sets.pack(A.ints)
             assert xs == sorted(xs) and len(set(xs)) == len(xs)
             for (i, p), (j, q) in itertools.combinations(enumerate(A.ints), 2):
                 d = tuple(a - b for a, b in zip(q, p))
