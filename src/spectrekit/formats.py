@@ -103,7 +103,7 @@ def _decode_point_list(raw: Any, ctx: GroupCtx, where: str) -> FiniteSet:
                 if d != 1 or not 0 <= n < m:
                     try:
                         got = shorten(format_scaled(n, d))
-                    except ValueError:  # Python's int-string limit; the digits are not echoed
+                    except DomainError:  # past the int-string limit
                         got = "a literal with too many digits"
                     raise ParseError(f"{where}[{i}][{j}]: residue must be an integer "
                                      f"in [0, {m}), got {got}")

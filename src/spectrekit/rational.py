@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 Rat = Fraction
 Point = Tuple[Rat, ...]
@@ -63,13 +63,17 @@ def shorten(text: str) -> str:
 def format_rat(value: RatLike) -> str:
     """Render a rational canonically: ``"p/q"`` in lowest terms, or ``"p"``
     when the denominator is one.  ``parse_rat`` inverts this exactly."""
-    return str(as_rat(value))
+    return format_scaled(*as_rat(value).as_integer_ratio())
 
 
 def format_scaled(n: int, scale: int) -> str:
-    """``format_rat(Fraction(n, scale))`` without building the Fraction."""
+    """``format_rat(Fraction(n, scale))`` without building the Fraction.  A
+    value past Python's int-string limit raises a DomainError."""
     g = math.gcd(n, scale)
-    return str(n // g) if g == scale else f"{n // g}/{scale // g}"
+    try:
+        return str(n // g) if g == scale else f"{n // g}/{scale // g}"
+    except ValueError:  # Python's int-string limit
+        raise DomainError("a result value has too many digits to print") from None
 
 
 def as_rat(value: RatLike) -> Rat:

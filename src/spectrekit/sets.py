@@ -9,8 +9,6 @@ finite set A in an Abelian metric group:
 
 Both are computed exactly.  A FiniteSet keeps its points on an integer grid
 (``groups.Grid``), so the kernels here run on integers from input to result.
-Only ``densify_to_netset`` builds rational points, since the denominators of
-its candidates are not known in advance.
 """
 
 from __future__ import annotations
@@ -353,35 +351,32 @@ def spectre_inflate(B: FiniteSet, x: Point) -> FiniteSet:
     return minkowski_sum(B, canonical_set(B.ctx, [zero(B.ctx), x]))
 
 
-def _perturbations(dim: int, eps: Rat) -> Iterator[Point]:
-    """Deterministic stream of nonzero vectors with sup norm below eps.
+def _perturbations(dim: int) -> Iterator[Tuple[int, int, int, int]]:
+    """Deterministic stream of nonzero vectors with sup norm below eps, each
+    given as (j, i, k, m).
 
-    Candidates are eps/2^j along one axis plus eps/2^k along another, visited
+    Candidates are eps/2^j along axis i plus eps/2^k along axis m, visited
     by increasing j+k so the stream contains vectors of arbitrarily small
     norm and, for any finite exclusion set, eventually a vector avoiding it.
     The terms (i, j) and (m, k) give the same vector as (m, k) and (i, j), so
     only the first of the two in loop order, (j, i) <= (k, m), is yielded.
+    The one vector of norm eps, i == m with j == k == 1, is left out.
     """
     for total in itertools.count(2):
         for j in range(1, total):
             k = total - j
             for i, m in itertools.product(range(dim), repeat=2):
-                if (j, i) <= (k, m):
-                    v = [Fraction(0)] * dim
-                    v[i] += eps / (1 << j)
-                    v[m] += eps / (1 << k)
-                    if max(abs(c) for c in v) < eps:
-                        yield tuple(v)
+                if (j, i) <= (k, m) and not (i == m and k == 1):
+                    yield j, i, k, m
 
 
 _DENSIFY_SCAN_CAP = 20000
-
-
-def _scan(candidates: Iterator[Point], accept: Callable[[Point], bool]) -> Point:
-    for _, x in zip(range(_DENSIFY_SCAN_CAP), candidates):
-        if accept(x):
-            return x
-    raise SpectreKitError("perturbation scan exhausted; this should be unreachable")
+# A bound on the exponents j and k of a capped scan, which visits at most
+# _DENSIFY_SCAN_CAP - 1 vectors.  Dim 1 has floor(s/2) vectors with j + k = s
+# (less the one dropped at s = 2), and a larger dim has more, so a vector
+# with j + k = t has at least floor((t-1)^2 / 4) - 1 before it.  Hence
+# (t-1)^2 < 4 * cap, and j, k <= t - 1 <= isqrt(4 * cap) in any dim.
+_DENSIFY_DEPTH = math.isqrt(4 * _DENSIFY_SCAN_CAP) + 1
 
 
 def densify_to_netset(B: FiniteSet, eps: Rat) -> FiniteSet:
@@ -393,44 +388,42 @@ def densify_to_netset(B: FiniteSet, eps: Rat) -> FiniteSet:
     b of B, in order, is kept if it passes, and otherwise the first passing
     b + v for v in ``_perturbations`` (norm below eps); then, while fewer
     than three points are kept, the first passing first + v is added.
+
+    The candidates lie on the grid of B and eps refined by 2^_DENSIFY_DEPTH
+    and run as ``pack``'s ints, with a reach that holds every difference of
+    two candidates.  Packing is linear and keeps the order, so a difference
+    up to sign is keyed as |c - x|, and a key of 0 means c is kept already.
     """
     if not isinstance(B.ctx, RationalSpace):
         raise DomainError("densification needs a rational-space context")
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
-    ctx = B.ctx
-    kept: List[Point] = []
-    members = set()
-    index = set()  # differences of kept points, the larger of d and -d
+    dim = B.ctx.dim
+    grid = Grid(B.ctx, math.lcm(B.scale, eps.denominator) << _DENSIFY_DEPTH)
+    pts = grid.ints(B)
+    e = eps.numerator * (grid.scale // eps.denominator)
+    reach = 2 * (max(map(abs, itertools.chain(*pts))) + e)
+    xs, unpack, _, _ = pack(pts, None, reach)
+    axis = pack([tuple(int(i == m) for m in range(dim)) for i in range(dim)], None, reach)[0]
+    kept: List[int] = []
+    index = {0}  # |c - y| for kept c != y, and 0, which turns away a kept point
 
-    def differences(c: Point) -> Iterator[Point]:
-        for k in kept:
-            d = tuple(a - b for a, b in zip(c, k))
-            yield max(d, tuple(-a for a in d))
+    def keep(x: int) -> None:
+        moves = ((e >> j) * axis[i] + (e >> k) * axis[m] for j, i, k, m in _perturbations(dim))
+        for v in itertools.islice(itertools.chain([0], moves), _DENSIFY_SCAN_CAP):
+            c = x + v
+            if not index.isdisjoint(map(abs, map(sub, kept, repeat(c)))):
+                continue  # stopped at the first key in the index
+            keys = set(map(abs, map(sub, kept, repeat(c))))
+            if len(keys) == len(kept):
+                index.update(keys)
+                kept.append(c)
+                return
+        raise SpectreKitError("perturbation scan exhausted; this should be unreachable")
 
-    def passes(c: Point) -> bool:
-        if c in members:
-            return False
-        new = set()
-        for d in differences(c):
-            if d in new or d in index:
-                return False
-            new.add(d)
-        return True
-
-    def near(p: Point) -> Iterator[Point]:
-        yield p
-        for v in _perturbations(ctx.dim, eps):
-            yield tuple(a + b for a, b in zip(p, v))
-
-    def keep(c: Point) -> None:
-        index.update(differences(c))
-        kept.append(c)
-        members.add(c)
-
-    for b in B:
-        keep(_scan(near(b), passes))
+    for x in xs:
+        keep(x)
     while len(kept) < 3:
-        keep(_scan(near(kept[0]), passes))
-    return canonical_set(ctx, kept)
+        keep(kept[0])
+    return grid.to_set(unpack(kept))

@@ -556,6 +556,19 @@ class TestCliContract:
         assert captured.err.startswith(f"error: cannot read {path}: ")
         assert captured.err.count("\n") == 1 and "1" * 100 not in captured.err
 
+    @pytest.mark.parametrize("command", ["spectre", "center"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_result_past_the_digit_limit_gives_a_plain_error(self, tmp_path, capsys,
+                                                               command, fmt):
+        # Each literal has 2201 digits, but 1/p - 1/q has a 4401-digit denominator.
+        p, q = 10 ** 2200 + 1, 10 ** 2200 + 3
+        path = write(tmp_path, "far.json", {"group": {"type": "Qd", "dim": 1},
+                                            "points": [[f"1/{p}"], [f"1/{q}"]]})
+        assert run([command, "--set", path, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a result value has too many digits to print\n"
+
     @pytest.mark.parametrize("literal", ["1" * 5000 + "x", "1/" + "0" * 4000, "9" * 4000,
                                          "1" * 4000 + "." + "1" * 4000],
                              ids=["malformed", "zero-denominator", "residue", "residue-digits"])

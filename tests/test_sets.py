@@ -685,9 +685,26 @@ class TestDensify:
             assert list(densify_to_netset(B, eps).elements) == want
 
     def test_perturbation_stream_has_no_repeats(self):
+        eps = Fraction(1, 16)
         for dim in (1, 2):
-            vectors = list(itertools.islice(_perturbations(dim, Fraction(1, 16)), 2000))
+            vectors = []
+            for j, i, k, m in itertools.islice(_perturbations(dim), 2000):
+                v = [Fraction(0)] * dim
+                v[i] += eps / 2 ** j
+                v[m] += eps / 2 ** k
+                assert 0 < max(v) < eps
+                vectors.append(tuple(v))
             assert len(set(vectors)) == 2000
+
+    def test_a_capped_scan_stays_on_the_grid(self):
+        # A scan tries the point, then at most cap - 1 vectors; each exponent
+        # must be at most the depth the grid is refined by.
+        deepest = []
+        for dim in (1, 2, 3, 4):
+            stream = itertools.islice(_perturbations(dim), sets._DENSIFY_SCAN_CAP - 1)
+            deepest.append(max(max(j, k) for j, _, k, _ in stream))
+        assert deepest == [282, 141, 94, 71]
+        assert max(deepest) <= sets._DENSIFY_DEPTH
 
     def test_matches_the_naive_greedy_rule(self):
         r = random.Random(217)
@@ -697,6 +714,44 @@ class TestDensify:
             eps = r.choice((Fraction(1, 16), Fraction(1, 4), Fraction(1)))
             want = oracles.naive_netset_greedy(A.elements, eps)
             assert list(densify_to_netset(A, eps).elements) == want
+
+    def test_matches_the_naive_greedy_rule_far_wide_and_deep(self, monkeypatch):
+        # Points near +-10^30, denominators of 2^61 - 1 and 2^61 - 3, and at
+        # eps = 2^-20 small progressions and lattices.  The last 1-D sets go
+        # deep: {0, 3, 4, 9, 11, 12, 13, 20} * eps/64 reaches exponent 8, the
+        # deepest scan a search over 8-point sets found.
+        deepest = [0]
+
+        def recorded(dim):
+            for v in _perturbations(dim):
+                deepest[0] = max(deepest[0], v[0], v[2])
+                yield v
+
+        monkeypatch.setattr(sets, "_perturbations", recorded)
+        r = random.Random(220)
+        big, wide, tiny = 10 ** 30, (1 << 61) - 1, Fraction(1, 1 << 20)
+        cases = []
+        for _ in range(12):
+            dim = r.randint(1, 3)
+            center = [r.choice((-big, big)) + r.randint(-5, 5) for _ in range(dim)]
+            pts = {tuple(c + Fraction(r.randint(-8, 8), r.choice((1, 4, 16))) for c in center)
+                   for _ in range(r.randint(1, 8))}
+            cases.append((pts, r.choice((Fraction(1, 16), Fraction(1)))))
+            pts = {tuple(Fraction(r.randint(-wide, wide), r.choice((wide, wide - 2, 1)))
+                         for _ in range(dim)) for _ in range(r.randint(1, 8))}
+            cases.append((pts, r.choice((Fraction(1, 16), Fraction(3, wide)))))
+        for n in range(3, 9):
+            for step in (1, tiny, tiny / 4):
+                cases.append(({(step * i,) for i in range(n)}, tiny))
+        for a, b in ((2, 2), (2, 3), (2, 4)):
+            cases.append(({(tiny * i, tiny * j) for i in range(a) for j in range(b)}, tiny))
+        for ms in ((0, 3, 4, 9, 11, 12, 13, 20), (0, 3, 5, 6, 9, 17)):
+            cases.append(({(tiny / 64 * m,) for m in ms}, tiny))
+        for pts, eps in cases:
+            A = finite_set(RationalSpace(len(next(iter(pts)))), pts)
+            want = oracles.naive_netset_greedy(A.elements, eps)
+            assert list(densify_to_netset(A, eps).elements) == want
+        assert deepest[0] >= 8
 
     def test_random_inputs_satisfy_all_three_properties(self):
         r = random.Random(216)
