@@ -215,9 +215,12 @@ _INT_METRICS = {
 def to_grid(p: Sequence[Rat], scale: int) -> Optional[IntPoint]:
     """The coordinates of ``p`` times ``scale`` as integers, or None when one
     of them is not a rational whose denominator divides ``scale``."""
-    if not all(isinstance(c, Rational) and scale % c.denominator == 0 for c in p):
-        return None
-    return tuple(c.numerator * (scale // c.denominator) for c in p)
+    out = []
+    for c in p:
+        if not isinstance(c, Rational) or scale % c.denominator:
+            return None
+        out.append(c.numerator * (scale // c.denominator))
+    return tuple(out)
 
 
 class Grid:
@@ -281,8 +284,7 @@ class Grid:
         return sorted(keyed)
 
     def to_int(self, p: Point) -> IntPoint:
-        scale = self.scale
-        return tuple(c.numerator * (scale // c.denominator) for c in p)
+        return to_grid(p, self.scale)
 
     def ints(self, A: "FiniteSet") -> Sequence[IntPoint]:
         """The points of the FiniteSet ``A`` on this grid, in A's order."""

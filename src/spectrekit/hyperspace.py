@@ -63,13 +63,19 @@ def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint]) -> int
     return worst
 
 
-def hausdorff(A: FiniteSet, B: FiniteSet) -> DistValue:
-    """Exact Hausdorff distance: the larger of the two directed distances
-    max_a min_b d(a, b) and max_b min_a d(a, b)."""
+def _both_ways(A: FiniteSet, B: FiniteSet) -> Tuple[Grid, int, int]:
+    """The grid of A and B and the raw directed distances from A to B and from B to A."""
     require_same_ctx(A.ctx, B.ctx)
     grid = Grid.of(A.ctx, A, B)
     pa, pb = grid.ints(A), grid.ints(B)
-    return grid.dist_value(max(_directed(grid, pa, pb), _directed(grid, pb, pa)))
+    return grid, _directed(grid, pa, pb), _directed(grid, pb, pa)
+
+
+def hausdorff(A: FiniteSet, B: FiniteSet) -> DistValue:
+    """Exact Hausdorff distance: the larger of the two directed distances
+    max_a min_b d(a, b) and max_b min_a d(a, b)."""
+    grid, ab, ba = _both_ways(A, B)
+    return grid.dist_value(max(ab, ba))
 
 
 def fatten_contains(B: FiniteSet, A: FiniteSet, eps: Rat) -> bool:
@@ -130,13 +136,12 @@ def probe_spectre_continuity(A: FiniteSet, family: Sequence[FiniteSet],
     rows = []
     for i, member in enumerate(family, start=1):
         require_same_ctx(A.ctx, member.ctx)
-        SM = spectre(member)
-        rows.append(ProbeRow(
-            index=i,
-            input_distance=hausdorff(A, member),
-            spectre_distance=hausdorff(SA, SM),
-            usc_ok=fatten_contains(SM, SA, eps),
-        ))
+        input_distance = hausdorff(A, member)
+        grid, out, back = _both_ways(SA, spectre(member))
+        if eps <= 0:  # where fatten_contains would raise it
+            raise DomainError("fattening radius must be positive")
+        rows.append(ProbeRow(i, input_distance, grid.dist_value(max(out, back)),
+                             grid.dist_value(back).value < eps))
     approaching = all(
         rows[i + 1].input_distance.value <= rows[i].input_distance.value
         for i in range(len(rows) - 1)

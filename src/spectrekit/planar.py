@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from .errors import DomainError
 from .groups import IntPoint, RationalSpace, to_grid
 from .rational import Point, Rat, format_scaled
-from .reports import CheckItem, LemmaReport, report
-from .series import SeriesSpec, _subset_sums, series_spec
+from .reports import CheckItem, LemmaReport
+from .series import (SeriesSpec, _check_k, _consecutive, _explains, _first_gap_axis,
+                     _subset_sums, _tail, series_spec)
 from .sets import FiniteSet
 
 RECT_GAP_MODES = ("all", "largest-by-area")
@@ -122,15 +123,8 @@ def rect_gaps(E: FiniteSet, mode: str = "all") -> List[RectGap]:
 def is_rect_gap(E: FiniteSet, a: Rat, b: Rat, c: Rat, d: Rat) -> bool:
     """Direct check of the defining property, independent of the sweep."""
     _require_planar(E)
-    corners = _grid_corners(E.scale, a, b, c, d)
-    return corners is not None and _is_grid_rect_gap(E, *corners)
-
-
-def _grid_corners(scale: int, a: Rat, b: Rat, c: Rat,
-                  d: Rat) -> Optional[Tuple[IntPoint, IntPoint]]:
-    """The corners (a, c) and (b, d) times ``scale``, or None if off that grid."""
-    corners = to_grid((a, c, b, d), scale)
-    return None if corners is None else (corners[:2], corners[2:])
+    corners = to_grid((a, c, b, d), E.scale)
+    return corners is not None and _is_grid_rect_gap(E, corners[:2], corners[2:])
 
 
 def _is_grid_rect_gap(E: FiniteSet, lower: IntPoint, upper: IntPoint) -> bool:
@@ -155,30 +149,22 @@ def first_gap_lemma_2d(s: SeriesSpec, k: int,
     both hypotheses hold, the rectangle they span is a rectangular gap.
     Parts whose hypothesis fails are reported as not applicable.
     """
-    if not 1 <= k <= s.count:
-        raise DomainError(f"k must lie in [1, {s.count}], got {k}")
+    _check_k(s, k, 1)
     E = achievement_set_2d(s, budget)  # on the series' grid
     S = s.scale
-    xk, yk = s.ints[k - 1]
-    ax_idx = [n for n, t in enumerate(s.ints) if t[0] < xk]
-    ay_idx = [n for n, t in enumerate(s.ints) if t[1] < yk]
-    sum_x = sum(s.ints[n][0] for n in ax_idx)
-    sum_y = sum(s.ints[n][1] for n in ay_idx)
+    # The line's rule on each axis: E projects onto that axis's achievement set.
+    (ax_idx, sum_x, xk), (ay_idx, sum_y, yk) = axes = [
+        _first_gap_axis([t[i] for t in s.ints], k) for i in (0, 1)]
     items: List[CheckItem] = []
-
-    def axis_item(axis: str, idx: int, lo: int, hi: int) -> None:
+    for i, (_, lo, hi) in enumerate(axes):
         if hi <= lo:
-            items.append(CheckItem(f"{axis}-gap prediction", True,
+            items.append(CheckItem(f"{'xy'[i]}-gap prediction", True,
                                    "hypothesis not satisfied"))
-            return
-        values = {p[idx] for p in E.ints}
-        hit = lo in values and hi in values and not any(lo < v < hi for v in values)
-        label = f"{axis}-gap ({format_scaled(lo, S)}, {format_scaled(hi, S)})"
+            continue
+        hit = _consecutive(sorted({p[i] for p in E.ints}), lo, hi)
+        label = f"{'xy'[i]}-gap ({format_scaled(lo, S)}, {format_scaled(hi, S)})"
         items.append(CheckItem(label, hit,
                                "" if hit else "predicted interval is not an axis gap"))
-
-    axis_item("x", 0, sum_x, xk)
-    axis_item("y", 1, sum_y, yk)
 
     if ax_idx == ay_idx and xk > sum_x and yk > sum_y:
         hit = _is_grid_rect_gap(E, (sum_x, sum_y), (xk, yk))
@@ -189,7 +175,7 @@ def first_gap_lemma_2d(s: SeriesSpec, k: int,
     else:
         items.append(CheckItem("rect-gap prediction", True,
                                "hypothesis not satisfied"))
-    return report("first-gap-2d", items)
+    return LemmaReport("first-gap-2d", tuple(items))
 
 
 def second_gap_lemma_2d(s: SeriesSpec, gap: RectGap,
@@ -203,15 +189,15 @@ def second_gap_lemma_2d(s: SeriesSpec, gap: RectGap,
     """
     E = achievement_set_2d(s, budget)  # on the series' grid
     S = s.scale
-    corners = _grid_corners(S, gap.a, gap.b, gap.c, gap.d)
+    corners = to_grid(gap.lower + gap.upper, S)
     items: List[CheckItem] = []
-    if corners is None or not _is_grid_rect_gap(E, *corners):
+    if corners is None or not _is_grid_rect_gap(E, corners[:2], corners[2:]):
         items.append(CheckItem("input rectangle is a gap of E", False,
                                "the defining property fails"))
-        return report("second-gap-2d", items)
+        return LemmaReport("second-gap-2d", tuple(items))
     items.append(CheckItem("input rectangle is a gap of E", True))
 
-    (a, c), (b, d) = corners
+    a, c, b, d = corners
     # Some term reaches the gap size: otherwise (a, c) plus any term outside
     # its index set would be a third point of E in the rectangle.
     k = max(n for n, (x, y) in enumerate(s.ints, 1) if x >= b - a or y >= d - c)
@@ -219,13 +205,12 @@ def second_gap_lemma_2d(s: SeriesSpec, gap: RectGap,
     items.append(CheckItem(
         f"upper corner in F_{k}", F_k.contains_int((b, d), S),
         f"corner ({format_scaled(b, S)}, {format_scaled(d, S)})"))
-    tail_x = sum(x for x, _ in s.ints[k:])
-    tail_y = sum(y for _, y in s.ints[k:])
+    tail_x, tail_y = _tail(s, k)
     f = (a - tail_x, c - tail_y)
     items.append(CheckItem(
         f"lower corner is an F_{k} sum plus the tail", F_k.contains_int(f, S),
         f"initial part ({format_scaled(f[0], S)}, {format_scaled(f[1], S)})"))
-    return report("second-gap-2d", items)
+    return LemmaReport("second-gap-2d", tuple(items))
 
 
 # -- the fixed counterexample -------------------------------------------------
@@ -269,14 +254,9 @@ def third_gap_failure_witness(budget: Optional[int] = None) -> LemmaReport:
         "unique largest rectangular gap is (3/8, 1) x (3/8, 1)",
         largest == [_EXAMPLE_GAP],
         f"found {len(largest)} maximal gap(s)"))
-    S = s.scale
-    g = _EXAMPLE_GAP
-    lower, upper = _grid_corners(S, g.a, g.b, g.c, g.d)
-    tail, explained = (0, 0), False
-    for t in reversed(s.ints):
-        explained |= t == upper and tail == lower
-        tail = (tail[0] + t[0], tail[1] + t[1])
+    # The line's rule: some m with a_m the upper corner and r_m the lower one.
+    key = (to_grid(_EXAMPLE_GAP.upper, s.scale), to_grid(_EXAMPLE_GAP.lower, s.scale))
     items.append(CheckItem(
-        "no term and tail explain the gap corners", not explained,
+        "no term and tail explain the gap corners", key not in _explains(s),
         "corner (1, 1) is achieved only as a two-term sum"))
-    return report("third-gap-failure", items)
+    return LemmaReport("third-gap-failure", tuple(items))

@@ -12,14 +12,13 @@ not attained, and always positive since max(T) is a defect.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, check_budget_power
 from .groups import RationalSpace, canonical_set, to_grid
 from .rational import Rat, RatLike, as_rat
-from .series import _subset_sums_cached, series_spec
+from .series import _consecutive, _subset_sums_cached, series_spec
 from .sets import FiniteSet
 
 _CTX_1D = RationalSpace(1)
@@ -75,9 +74,7 @@ def gap_translation_check(T: FiniteSet, gap: Tuple[RatLike, RatLike]) -> Rat:
         raise DomainError("the set must contain 0 as its minimum")
     a, b = as_rat(gap[0]), as_rat(gap[1])
     ends = to_grid((a, b), T.scale)
-    i = bisect_left(xs, ends[0]) if ends else 0
-    # On the grid, a gap is two consecutive points of xs.
-    if ends is None or xs[i:i + 2] != list(ends):
+    if ends is None or not _consecutive(xs, *ends):
         raise DomainError(f"({a}, {b}) is not a gap of the set")
     bi = ends[1]
 

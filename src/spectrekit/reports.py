@@ -28,7 +28,3 @@ class LemmaReport(NamedTuple):
 
     def failures(self) -> List[CheckItem]:
         return [item for item in self.items if not item.passed]
-
-
-def report(name: str, items: List[CheckItem], note: str = "") -> LemmaReport:
-    return LemmaReport(name=name, items=tuple(items), note=note)

@@ -19,13 +19,13 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import (FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .errors import DomainError, SpectreKitError, check_budget_power
 from .groups import Frozen, Grid, IntPoint, RationalSpace
 from .rational import Point, Rat, RatLike, as_rat, format_scaled, point
-from .reports import CheckItem, LemmaReport, report
+from .reports import CheckItem, LemmaReport
 from .sets import FiniteSet, pack, spectre
 
 TermLike = Union[RatLike, Sequence[RatLike]]
@@ -117,19 +117,33 @@ def _subset_sums_cached(ctx: RationalSpace, terms: Tuple[IntPoint, ...],
     return Grid(ctx, scale).to_set(unpack(sorted(sums)))
 
 
+def _check_k(s: SeriesSpec, k: int, least: int = 0) -> None:
+    """Raise a DomainError unless least <= k <= N."""
+    if not least <= k <= s.count:
+        raise DomainError(f"k must lie in [{least}, {s.count}], got {k}")
+
+
+def _tail(s: SeriesSpec, k: int) -> IntPoint:
+    """The tail r_k = a_{k+1} + ... + a_N, coordinate-wise on the series' grid."""
+    return tuple(map(sum, zip(*s.ints[k:]))) or (0,) * s.dim
+
+
+def _explains(s: SeriesSpec) -> Dict[Tuple[IntPoint, IntPoint], int]:
+    """The term-and-tail table {(a_m, r_m): the least such m}, m = 1, ..., N."""
+    return {(s.ints[m - 1], _tail(s, m)): m for m in range(s.count, 0, -1)}
+
+
 def initial_subsums(s: SeriesSpec, k: int,
                     budget: Optional[int] = None) -> FiniteSet:
     """F_k: sums over subsets of the first k terms.  F_0 = {0}."""
-    if not 0 <= k <= s.count:
-        raise DomainError(f"k must lie in [0, {s.count}], got {k}")
+    _check_k(s, k)
     return _subset_sums(s.ctx, s.ints[:k], s.scale, budget)
 
 
 def remainder_subsums(s: SeriesSpec, k: int,
                       budget: Optional[int] = None) -> FiniteSet:
     """E_k: sums over subsets of the terms after position k.  E_N = {0}."""
-    if not 0 <= k <= s.count:
-        raise DomainError(f"k must lie in [0, {s.count}], got {k}")
+    _check_k(s, k)
     return _subset_sums(s.ctx, s.ints[k:], s.scale, budget)
 
 
@@ -137,9 +151,8 @@ def remainder_sum(s: SeriesSpec, k: int) -> Rat:
     """The full tail sum r_k = a_{k+1} + ... + a_N of a scalar series."""
     if s.dim != 1:
         raise DomainError("remainder sums are defined for scalar series")
-    if not 0 <= k <= s.count:
-        raise DomainError(f"k must lie in [0, {s.count}], got {k}")
-    return Fraction(sum(x for (x,) in s.ints[k:]), s.scale)
+    _check_k(s, k)
+    return Fraction(_tail(s, k)[0], s.scale)
 
 
 def achievement_set(s: SeriesSpec, budget: Optional[int] = None) -> FiniteSet:
@@ -173,6 +186,19 @@ def _int_gaps(xs: Sequence[int]) -> Iterator[Tuple[int, int, bool]]:
         longest = max(longest, hi - lo)
 
 
+def _consecutive(xs: Sequence, lo: object, hi: object) -> bool:
+    """Whether lo and hi are consecutive values of the sorted distinct values xs."""
+    i = bisect_left(xs, lo)
+    return list(xs[i:i + 2]) == [lo, hi]
+
+
+def _first_gap_axis(xs: Sequence[int], k: int) -> Tuple[List[int], int, int]:
+    """The first-gap prediction on one axis: the n with xs[n] < a_k = xs[k - 1], their sum, a_k."""
+    a_k = xs[k - 1]
+    below = [n for n, x in enumerate(xs) if x < a_k]
+    return below, sum(xs[n] for n in below), a_k
+
+
 def find_gaps(E: FiniteSet) -> List[Gap1D]:
     """All gaps of a scalar set, left to right, with dominating flags."""
     if not isinstance(E.ctx, RationalSpace) or E.ctx.dim != 1:
@@ -193,21 +219,18 @@ def first_gap_check_1d(s: SeriesSpec, k: int,
     """
     if s.dim != 1:
         raise DomainError("this gap prediction applies to scalar series")
-    if not 1 <= k <= s.count:
-        raise DomainError(f"k must lie in [1, {s.count}], got {k}")
+    _check_k(s, k, 1)
     if not s.nonnegative:
         raise DomainError("nonnegative terms required")
-    (a_k,) = s.ints[k - 1]
-    below = sum(x for (x,) in s.ints if x < a_k)
+    _, below, a_k = _first_gap_axis([x for (x,) in s.ints], k)
     if a_k <= below:
         return None
     pts = achievement_set(s, budget).ints  # on the series' grid
-    i = bisect_left(pts, (below,))
-    if pts[i:i + 2] != ((below,), (a_k,)):
+    if not _consecutive(pts, (below,), (a_k,)):
         raise SpectreKitError(f"predicted gap ({format_scaled(below, s.scale)}, "
                               f"{format_scaled(a_k, s.scale)}) is absent")
-    # The last gap of pts[:i + 2] is (below, a_k), flagged as find_gaps flags it.
-    *_, (_, _, dominating) = _int_gaps([x for (x,) in pts[:i + 2]])
+    # The last gap of pts up to a_k is (below, a_k), flagged as find_gaps flags it.
+    *_, (_, _, dominating) = _int_gaps([x for (x,) in pts[:bisect_left(pts, (a_k,)) + 1]])
     return Gap1D(Fraction(below, s.scale), Fraction(a_k, s.scale), dominating)
 
 
@@ -218,17 +241,14 @@ def third_gap_check(s: SeriesSpec, budget: Optional[int] = None) -> LemmaReport:
     if s.dim != 1 or not s.nonnegative or not s.nonincreasing:
         raise DomainError("nonnegative nonincreasing scalar terms required")
     E = achievement_set(s, budget)  # on the series' grid
-    explains, tail = {}, 0  # (a_m, r_m) -> the least such m; r_m = a_{m+1} + ... + a_N
-    for m in range(s.count, 0, -1):
-        explains[(s.ints[m - 1][0], tail)] = m
-        tail += s.ints[m - 1][0]
+    explains = _explains(s)
     S = s.scale
     items: List[CheckItem] = []
     for alpha, beta, dominating in _int_gaps([x for (x,) in E.ints]):
         if not dominating:
             continue
         label = f"dominating gap ({format_scaled(alpha, S)}, {format_scaled(beta, S)})"
-        hit = explains.get((beta, alpha))
+        hit = explains.get(((beta,), (alpha,)))
         if hit is None:
             items.append(CheckItem(label, False,
                                    "no index provides this term and tail sum"))
@@ -237,7 +257,7 @@ def third_gap_check(s: SeriesSpec, budget: Optional[int] = None) -> LemmaReport:
                                    f"m={hit}: a_m={format_scaled(beta, S)}, "
                                    f"tail={format_scaled(alpha, S)}"))
     note = "" if items else "no dominating gaps to check"
-    return report("third-gap", items, note=note)
+    return LemmaReport("third-gap", tuple(items), note)
 
 
 # -- spectre behaviour of achievement sets ------------------------------------
@@ -301,4 +321,4 @@ def series_spectre_checks(s: SeriesSpec,
     chain("S(E_n) descend with n", zip(spectres_e[1:], spectres_e))
     chain("S(E_n) inside S(E)", ((se, member) for se in spectres_e))
 
-    return report("series-spectre", items)
+    return LemmaReport("series-spectre", tuple(items))

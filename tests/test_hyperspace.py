@@ -26,6 +26,7 @@ from spectrekit import (
     spectre,
     translate,
 )
+from spectrekit import hyperspace
 from gen import WIDE, rand_finab_ctx, rand_finab_set, rand_qset, rand_unit_qset, space_sets
 
 Q1 = RationalSpace(1)
@@ -251,6 +252,44 @@ class TestContinuityProbe:
             SA = spectre(A)
             for eps in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
                 assert fatten_contains(B, SA, eps)
+
+    def test_rows_are_the_separate_distances(self):
+        r = random.Random(309)
+        for n in range(60):
+            if n % 3 == 2:
+                ctx = rand_finab_ctx(r)
+                A, family = rand_finab_set(r, ctx), [rand_finab_set(r, ctx) for _ in range(4)]
+            else:
+                metric = r.choice(("sup", "taxicab", "euclidean-squared"))
+                A = rand_qset(r, dim=n % 3 + 1, metric=metric, max_den=8)
+                family = [rand_qset(r, dim=n % 3 + 1, metric=metric, max_den=8)
+                          for _ in range(r.randint(1, 4))]
+            eps = Fraction(r.randint(1, 12), r.randint(1, 6))
+            report = probe_spectre_continuity(A, family, eps)
+            SA = spectre(A)
+            for member, row in zip(family, report.rows):
+                SM = spectre(member)
+                assert row[1:] == (hausdorff(A, member), hausdorff(SA, SM),
+                                   fatten_contains(SM, SA, eps))
+
+    def test_each_row_sweeps_each_direction_once(self, monkeypatch):
+        sweeps = []
+        real = hyperspace._directed
+        monkeypatch.setattr(hyperspace, "_directed",
+                            lambda *args: sweeps.append(1) or real(*args))
+        A = qset(*range(100))
+        family = perturbation_family(A)
+        probe_spectre_continuity(A, family, Fraction(1, 8))
+        assert len(sweeps) == 4 * len(family) == 32
+
+    def test_a_nonpositive_eps_reports_after_the_family_checks(self):
+        with pytest.raises(DomainError, match="the probe family must be nonempty"):
+            probe_spectre_continuity(qset(0), [], 0)
+        with pytest.raises(GroupMismatchError):
+            probe_spectre_continuity(qset(0), [finite_set(Q2, [point(0, 0)])], 0)
+        for eps in (0, Fraction(-1, 8)):
+            with pytest.raises(DomainError, match="^fattening radius must be positive$"):
+                probe_spectre_continuity(qset(0, 1), [qset(0, 2)], eps)
 
 
 class TestPerturbationFamily:

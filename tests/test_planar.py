@@ -15,6 +15,7 @@ from spectrekit import (
     achievement_set_2d,
     axis_gaps,
     finite_set,
+    first_gap_check_1d,
     first_gap_lemma_2d,
     point,
     rect_gaps,
@@ -24,6 +25,7 @@ from spectrekit import (
 )
 from gen import rand_series
 from spectrekit.planar import example_series, is_rect_gap
+from spectrekit.rational import format_rat
 
 Q2 = RationalSpace(2)
 
@@ -193,6 +195,23 @@ class TestFirstGapLemma2D:
             for k in range(1, s.count + 1):
                 report = first_gap_lemma_2d(s, k)
                 assert report.passed, report.failures()
+
+    def test_axis_items_are_the_line_lemma_on_each_coordinate(self):
+        # The projection of E on an axis is that coordinate's achievement set,
+        # so each axis item is the one-dimensional first-gap lemma there.
+        r = random.Random(507)
+        for _ in range(40):
+            s = rand_series(r, max_terms=8, dim=2)
+            for k in range(1, s.count + 1):
+                items = first_gap_lemma_2d(s, k).items
+                for i, axis in enumerate("xy"):
+                    gap = first_gap_check_1d(series_spec([t[i] for t in s.terms]), k)
+                    if gap is None:
+                        want = (f"{axis}-gap prediction", True, "hypothesis not satisfied")
+                    else:
+                        want = (f"{axis}-gap ({format_rat(gap.alpha)}, "
+                                f"{format_rat(gap.beta)})", True, "")
+                    assert items[i] == want, (s.terms, k)
 
 
 class TestSecondGapLemma2D:

@@ -14,6 +14,7 @@ from spectrekit import (
     RationalSpace,
     achievement_set,
     cantor_pair_demo,
+    find_gaps,
     finite_set,
     gap_translation_check,
     pspec,
@@ -150,6 +151,27 @@ class TestGapTranslation:
             gap_translation_check(T, (Fraction(1, 8), Fraction(1, 4)))
         with pytest.raises(DomainError):
             gap_translation_check(T, (Fraction(1, 2), Fraction(1, 4)))
+
+    def test_accepts_exactly_the_consecutive_pairs(self):
+        r = random.Random(604)
+        for _ in range(60):
+            T = psum_set(rand_pspec(r))
+            for g in find_gaps(T):
+                assert gap_translation_check(T, (g.alpha, g.beta)) > 0
+            values = scalars(T)
+            for _ in range(10):
+                i, j = r.randrange(len(values)), r.randrange(len(values))
+                if j != i + 1:  # includes equal and reversed endpoints
+                    with pytest.raises(DomainError, match="is not a gap of the set"):
+                        gap_translation_check(T, (values[i], values[j]))
+            v = r.choice(values)
+            with pytest.raises(DomainError, match="is not a gap of the set"):
+                gap_translation_check(T, (v, v))
+            g = r.choice(find_gaps(T))
+            off = Fraction(1, 2 * T.scale)  # between two grid points of T
+            for ends in ((g.alpha + off, g.beta), (g.alpha, g.beta - off)):
+                with pytest.raises(DomainError, match="is not a gap of the set"):
+                    gap_translation_check(T, ends)
 
     def test_requires_zero_minimum(self):
         T = psum_set(pspec(["0", "1"], ["1/2"]))

@@ -17,6 +17,7 @@ from spectrekit import (
     find_gaps,
     finite_set,
     first_gap_check_1d,
+    first_gap_lemma_2d,
     initial_subsums,
     minkowski_sum,
     point,
@@ -98,6 +99,20 @@ class TestSubsums:
                 initial_subsums(GEO, k)
             with pytest.raises(DomainError):
                 remainder_subsums(GEO, k)
+
+    @pytest.mark.parametrize("check, least", [
+        (initial_subsums, 0),
+        (remainder_subsums, 0),
+        (remainder_sum, 0),
+        (first_gap_check_1d, 1),
+        (lambda s, k: first_gap_lemma_2d(series_spec([(t, t) for (t,) in s.terms]), k), 1),
+    ], ids=["initial_subsums", "remainder_subsums", "remainder_sum", "first_gap_check_1d",
+            "first_gap_lemma_2d"])
+    def test_every_index_check_gives_the_same_text(self, check, least):
+        for k in (least - 1, 4, -7):
+            with pytest.raises(DomainError) as info:
+                check(GEO, k)
+            assert str(info.value) == f"k must lie in [{least}, 3], got {k}"
 
     def test_achievement_set_examples(self):
         grid = series_spec(["1/2", "1/4", "1/8", "1/16"])
