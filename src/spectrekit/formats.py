@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, ParseError
-from .groups import SUP, FiniteAbelian, Grid, GroupCtx, RationalSpace
+from .groups import SUP, DistValue, FiniteAbelian, Grid, GroupCtx, RationalSpace
 from .psums import PSpec, pspec
 from .rational import Rat, format_rat, format_scaled, parse_pair, shorten
 from .series import SeriesSpec, series_spec
@@ -118,6 +119,25 @@ def encode_set(A: FiniteSet) -> Dict[str, Any]:
     s = A.scale
     return {"group": encode_group(A.ctx),
             "points": [[format_scaled(c, s) for c in p] for p in A.ints]}
+
+
+def encode_result(value: Any) -> Any:
+    """The JSON form of a result value, by one rule: a record (a named tuple)
+    is the object of its fields, a ``Fraction`` its canonical string, a
+    ``DistValue`` ``{"value", "squared"}``, a ``FiniteSet`` its point rows and
+    any other tuple or list a list; str, int, bool and None are JSON already."""
+    if isinstance(value, Fraction):
+        return format_rat(value)
+    if isinstance(value, (tuple, list)):
+        fields = getattr(value, "_fields", None)
+        if fields is None:
+            return [encode_result(v) for v in value]
+        return dict(zip(fields, map(encode_result, value)))
+    if isinstance(value, DistValue):
+        return {"value": format_rat(value.value), "squared": value.squared}
+    if isinstance(value, FiniteSet):
+        return encode_set(value)["points"]
+    return value
 
 
 def decode_set(obj: Any) -> FiniteSet:

@@ -27,7 +27,7 @@ from .groups import IntPoint, RationalSpace, to_grid
 from .rational import Point, Rat, format_scaled
 from .reports import CheckItem, LemmaReport
 from .series import (SeriesSpec, _check_k, _consecutive, _explains, _first_gap_axis,
-                     _subset_sums, _tail, series_spec)
+                     _subset_sums, _tail, achievement_set, series_spec)
 from .sets import FiniteSet
 
 RECT_GAP_MODES = ("all", "largest-by-area")
@@ -74,9 +74,7 @@ def achievement_set_2d(s: SeriesSpec, budget: Optional[int] = None) -> FiniteSet
     """Subset sums of a nonnegative planar series."""
     if s.dim != 2:
         raise DomainError("planar enumeration needs two-dimensional terms")
-    if not s.nonnegative:
-        raise DomainError("achievement sets are defined for nonnegative terms")
-    return _subset_sums(s.ctx, s.ints, s.scale, budget)
+    return achievement_set(s, budget)
 
 
 def axis_gaps(E: FiniteSet) -> List[AxisGap]:
@@ -115,9 +113,9 @@ def rect_gaps(E: FiniteSet, mode: str = "all") -> List[RectGap]:
     if mode == "largest-by-area" and found:
         best = max((b - a) * (d - c) for a, c, b, d in found)
         found = [g for g in found if (g[2] - g[0]) * (g[3] - g[1]) == best]
-    s = E.scale
-    return [RectGap(Fraction(a, s), Fraction(b, s), Fraction(c, s), Fraction(d, s))
-            for a, c, b, d in found]
+    # One Fraction per grid value: corners repeat across many gaps.
+    value = {v: Fraction(v, E.scale) for v in {v for g in found for v in g}}
+    return [RectGap(value[a], value[b], value[c], value[d]) for a, c, b, d in found]
 
 
 def is_rect_gap(E: FiniteSet, a: Rat, b: Rat, c: Rat, d: Rat) -> bool:

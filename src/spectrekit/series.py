@@ -203,9 +203,10 @@ def find_gaps(E: FiniteSet) -> List[Gap1D]:
     """All gaps of a scalar set, left to right, with dominating flags."""
     if not isinstance(E.ctx, RationalSpace) or E.ctx.dim != 1:
         raise DomainError("gap scans need a one-dimensional rational set")
-    s = E.scale
-    return [Gap1D(Fraction(lo, s), Fraction(hi, s), dominating)
-            for lo, hi, dominating in _int_gaps([x for (x,) in E.ints])]
+    xs = [x for (x,) in E.ints]
+    values = [Fraction(x, E.scale) for x in xs]  # one per endpoint, shared by two gaps
+    return [Gap1D(lo, hi, dominating)
+            for lo, hi, (_, _, dominating) in zip(values, values[1:], _int_gaps(xs))]
 
 
 def first_gap_check_1d(s: SeriesSpec, k: int,

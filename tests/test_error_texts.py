@@ -1,0 +1,74 @@
+"""The exact text of each domain and input error that no other test raises.
+Callers and scripts match on these texts, so each one is pinned here."""
+
+from __future__ import annotations
+
+import pytest
+
+from spectrekit import (
+    DomainError,
+    FiniteAbelian,
+    RationalSpace,
+    achievement_set_2d,
+    finite_set,
+    first_gap_check_1d,
+    gap_translation_check,
+    perturbation_family,
+    point,
+    pspec,
+    remainder_sum,
+    series_spec,
+)
+from spectrekit.cli import main
+from spectrekit.errors import ParseError
+from spectrekit.formats import decode_series, decode_set
+
+LINE = finite_set(RationalSpace(1), [point(0), point(1)])
+PLANAR = series_spec([("1/2", "1/3"), ("1/4", "1/9")])
+Q1_GROUP = {"type": "Qd", "dim": 1}
+
+# (call, error class, exact text); argparse errors exit 2 with the text on stderr.
+ERRORS = {
+    "pspec-empty-menu": (lambda: pspec([], ["1"]), DomainError,
+                         "the coefficient menu must be nonempty"),
+    "pspec-no-terms": (lambda: pspec(["0", "1"], []), DomainError,
+                       "at least one term is required"),
+    "pspec-negative-term": (lambda: pspec(["0", "1"], ["1", "-1/2"]), DomainError,
+                            "terms must be nonnegative"),
+    "gap-translation-planar": (
+        lambda: gap_translation_check(finite_set(RationalSpace(2), [point(0, 0)]), (0, 1)),
+        DomainError, "a one-dimensional rational set is required"),
+    "perturbation-finite-group": (
+        lambda: perturbation_family(finite_set(FiniteAbelian((5,)), [point(0), point(1)])),
+        DomainError, "perturbation families need a rational-space context"),
+    "perturbation-one-member": (lambda: perturbation_family(LINE, count=1), DomainError,
+                                "need at least two family members"),
+    "remainder-planar": (lambda: remainder_sum(PLANAR, 1), DomainError,
+                         "remainder sums are defined for scalar series"),
+    "first-gap-planar": (lambda: first_gap_check_1d(PLANAR, 1), DomainError,
+                         "this gap prediction applies to scalar series"),
+    "first-gap-negative": (lambda: first_gap_check_1d(series_spec(["1", "-1/2"]), 1),
+                           DomainError, "nonnegative terms required"),
+    # The sign is checked before the budget.
+    "planar-negative": (lambda: achievement_set_2d(series_spec([("1/2", "-1/3")]), budget=0),
+                        DomainError, "achievement sets are defined for nonnegative terms"),
+    "points-object": (lambda: decode_set({"group": Q1_GROUP, "points": {}}), ParseError,
+                      "points must be a JSON array, got dict"),
+    "points-empty": (lambda: decode_set({"group": Q1_GROUP, "points": []}), ParseError,
+                     "points must be nonempty"),
+    "series-dim-string": (lambda: decode_series({"terms": [], "dim": "2"}), ParseError,
+                          "dim must be an integer"),
+    "budget-not-an-int": (lambda: main(["spectre", "--set", "a.json", "--budget", "x"]),
+                          SystemExit, "argument --budget: invalid int value: 'x'"),
+}
+
+
+@pytest.mark.parametrize("call,error,text", ERRORS.values(), ids=list(ERRORS))
+def test_each_error_has_its_exact_text(capsys, call, error, text):
+    with pytest.raises(error) as info:
+        call()
+    if error is SystemExit:
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f": error: {text}\n")
+    else:
+        assert str(info.value) == text

@@ -11,7 +11,22 @@ from pathlib import Path
 
 import pytest
 
-from spectrekit import FiniteAbelian, RationalSpace, finite_set, point, pspec, series_spec
+from spectrekit import (
+    AxisGap,
+    CheckItem,
+    DistValue,
+    FiniteAbelian,
+    LemmaReport,
+    PairWitness,
+    ProbeReport,
+    RationalSpace,
+    RefuteResult,
+    SetVerdict,
+    finite_set,
+    point,
+    pspec,
+    series_spec,
+)
 from spectrekit.cli import COMMANDS, build_parser, run
 from spectrekit.errors import ParseError
 from spectrekit.rational import parse_rat
@@ -24,10 +39,12 @@ from spectrekit.formats import (
     dumps,
     encode_group,
     encode_pspec,
+    encode_result,
     encode_series,
     encode_set,
 )
 from spectrekit.groups import METRICS
+from spectrekit.hyperspace import ProbeRow
 from gen import rand_finab_ctx, rand_finab_set, rand_point, rand_qset
 
 Q1 = RationalSpace(1)
@@ -62,6 +79,49 @@ LONG_VALUE_DOCS = {
     "modulus": {"group": {"type": "FinAb", "moduli": ["9" * 5000]}, "points": [["0"]]},
     "type": {"group": {"type": "t" * 5000}, "points": [["0"]]},
     "dim": {"group": {"type": "Qd", "dim": list(range(3000))}, "points": [["0"]]},
+}
+
+
+F = Fraction
+PLAIN = {"value": "1/4", "squared": False}
+ROW = ProbeRow(1, DistValue(F(1, 4)), DistValue(F(1, 4)), True)
+ROW_JSON = {"index": 1, "input_distance": PLAIN, "spectre_distance": PLAIN, "usc_ok": True}
+# One value of each kind encode_result serves, and its JSON.
+RESULT_VALUES = {
+    "verdict-point-witness": (
+        SetVerdict(False, PairWitness(((F(0),), (F(1, 2),)), ((F(1, 2),), (F(1),)),
+                                      (F(1, 2),)), "a difference repeats"),
+        {"ok": False, "reason": "a difference repeats",
+         "witness": {"pair_a": [["0"], ["1/2"]], "pair_b": [["1/2"], ["1"]],
+                     "shared_value": ["1/2"]}}),
+    "verdict-distance-witness": (
+        SetVerdict(False, PairWitness(((F(0), F(0)), (F(1), F(-2))),
+                                      ((F(3), F(0)), (F(4), F(2))),
+                                      DistValue(F(5), squared=True)), "a distance repeats"),
+        {"ok": False, "reason": "a distance repeats",
+         "witness": {"pair_a": [["0", "0"], ["1", "-2"]], "pair_b": [["3", "0"], ["4", "2"]],
+                     "shared_value": {"value": "5", "squared": True}}}),
+    "report": (
+        LemmaReport("third gap", (CheckItem("k=1", True, "1/4"), CheckItem("k=2", False)), "n"),
+        {"name": "third gap", "note": "n",
+         "items": [{"label": "k=1", "passed": True, "detail": "1/4"},
+                   {"label": "k=2", "passed": False, "detail": ""}]}),
+    "probe-tail-bound": (
+        ProbeReport((ROW,), F(1, 8), "discontinuity-witnessed", F(1, 3), False),
+        {"rows": [ROW_JSON], "epsilon": "1/8", "verdict": "discontinuity-witnessed",
+         "tail_bound": "1/3", "usc_tail_ok": False}),
+    "probe-no-tail-bound": (
+        ProbeReport((ROW, ROW), F(2), "continuous-looking", None, True),
+        {"rows": [ROW_JSON, ROW_JSON], "epsilon": "2", "verdict": "continuous-looking",
+         "tail_bound": None, "usc_tail_ok": True}),
+    "refute-witness": (
+        RefuteResult(True, finite_set(FiniteAbelian((5,)), [point(2), point(0)]), 5),
+        {"found": True, "witness": [["0"], ["2"]], "scanned": 5}),
+    "refute-no-witness": (RefuteResult(False, None, 31),
+                          {"found": False, "witness": None, "scanned": 31}),
+    "axis-gap": (AxisGap("y", F(-1, 3), F(2)), {"axis": "y", "lo": "-1/3", "hi": "2"}),
+    "distance-squared": (DistValue(F(9, 4), squared=True), {"value": "9/4", "squared": True}),
+    "distance-plain": (DistValue(F(3)), {"value": "3", "squared": False}),
 }
 
 
@@ -254,6 +314,13 @@ class TestCodecs:
     def test_unknown_group_type_is_rejected(self):
         with pytest.raises(ParseError):
             decode_group({"type": "Banach", "dim": 1})
+
+    @pytest.mark.parametrize("value,want", RESULT_VALUES.values(), ids=list(RESULT_VALUES))
+    def test_a_result_record_is_the_object_of_its_fields(self, value, want):
+        got = encode_result(value)
+        assert list(got) == list(value._fields)  # the record's fields, in order
+        assert got == want
+        assert json.loads(dumps(got)) == want
 
     def test_dumps_is_stable(self):
         A = finite_set(Q1, [point("1/2"), point(0)])

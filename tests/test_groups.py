@@ -223,6 +223,12 @@ class TestDistValue:
                                   DistValue(Fraction(1), squared=True),
                                   DistValue(Fraction(5), squared=True))
 
+    def test_triangle_holds_on_plain_values(self):
+        # 1 <= 1/2 + 1/2 holds with equality; 2 > 1/2 + 1 fails.
+        half, one, two = (DistValue(Fraction(v)) for v in ("1/2", 1, 2))
+        assert triangle_holds(half, half, one)
+        assert not triangle_holds(half, one, two)
+
 
 def _moduli_up_to(order, prefix=()):
     """Every tuple of moduli >= 2 whose product is at most ``order``."""
