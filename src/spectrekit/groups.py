@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, reduce, total_ordering
 from numbers import Rational
 from operator import add, mod, mul, sub
-from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, GroupMismatchError
 from .rational import Point, Rat, shorten
@@ -312,18 +312,14 @@ class Grid:
         return A
 
 
-def canonical_set(ctx: GroupCtx, points: Collection[Point]) -> "FiniteSet":
-    """The FiniteSet of points already in ``validate_point`` form, not checked again."""
-    grid = Grid.of(ctx, points)
-    return grid.to_set(map(grid.to_int, points))
-
-
 class FiniteSet(Frozen):
     """A nonempty finite subset of an ambient group, stored on an integer grid:
     ``ints`` holds the distinct points p * scale in lexicographic order, and
     ``scale`` is the lcm of the reduced denominators (1 for residues), so
     equal sets have equal fields.  ``FiniteSet(ctx, points)`` validates
-    rational points; ``elements`` builds them back as ``Fraction`` tuples."""
+    rational points; duplicates collapse silently, and an empty collection is
+    rejected since spectres of the empty set are not defined here.
+    ``elements`` builds the points back as ``Fraction`` tuples."""
 
     ctx: GroupCtx
     scale: int
@@ -331,7 +327,8 @@ class FiniteSet(Frozen):
 
     def __init__(self, ctx: GroupCtx, points: Iterable[Point]):
         canon = {validate_point(ctx, p) for p in points}
-        vars(self).update(vars(canonical_set(ctx, canon)))
+        grid = Grid.of(ctx, canon)
+        vars(self).update(vars(grid.to_set(map(grid.to_int, canon))))
 
     @cached_property
     def elements(self) -> Tuple[Point, ...]:

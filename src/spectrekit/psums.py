@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, check_budget_power
-from .groups import RationalSpace, canonical_set, to_grid
+from .groups import RationalSpace, to_grid
 from .rational import Rat, RatLike, as_rat
-from .series import _consecutive, _subset_sums_cached, series_spec
+from .series import _consecutive, _subset_sums_cached, achievement_set, series_spec
 from .sets import FiniteSet
 
 _CTX_1D = RationalSpace(1)
@@ -106,23 +106,17 @@ _DEMO_GAP = (Fraction(1, 4), Fraction(1, 2))
 _MAX_DEMO_LEVELS = 8
 
 
-def _endpoint_level(ratio: Rat, depth: int) -> set:
-    """Endpoints of the level-``depth`` intervals of the self-similar set on
-    [0, 1] with contraction ``ratio`` at both ends."""
-    pts = {Fraction(0), Fraction(1)}
-    for _ in range(depth):
-        pts = {ratio * p for p in pts} | {1 - ratio + ratio * p for p in pts}
-    return pts
-
-
 def demo_level_set(m: int) -> FiniteSet:
     """Level m of the paired construction: a ratio-1/4 endpoint family scaled
-    into [0, 1/4], glued to a ratio-1/3 family scaled into [1/2, 3/4]."""
-    quarter = Fraction(1, 4)
-    third = Fraction(1, 3)
-    left = {p * quarter for p in _endpoint_level(quarter, m)}
-    right = {p * quarter + Fraction(1, 2) for p in _endpoint_level(third, m)}
-    return canonical_set(_CTX_1D, [(v,) for v in left | right])
+    into [0, 1/4], glued to a ratio-1/3 family scaled into [1/2, 3/4].  The
+    level-m interval endpoints of the self-similar set on [0, 1] with ratio r
+    at both ends are the achievement set of (1 - r) r^i for i < m and r^m, so
+    each family is that of these terms over 4, shifted by 0 or by 1/2."""
+    points = []
+    for r, shift in ((Fraction(1, 4), 0), (Fraction(1, 3), Fraction(1, 2))):
+        terms = [(1 - r) * r ** i / 4 for i in range(m)] + [r ** m / 4]
+        points += [(x + shift,) for (x,) in achievement_set(series_spec(terms))]
+    return FiniteSet(_CTX_1D, points)
 
 
 def cantor_pair_demo(levels: int) -> DemoReport:

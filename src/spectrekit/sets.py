@@ -25,10 +25,8 @@ from .groups import (
     DistValue,
     FiniteSet,
     Grid,
-    GroupCtx,
     IntPoint,
     RationalSpace,
-    canonical_set,
     require_same_ctx,
     validate_point,
     zero,
@@ -36,15 +34,11 @@ from .groups import (
 from .rational import Point, Rat
 
 
-def finite_set(ctx: GroupCtx, points: Iterable[Point]) -> FiniteSet:
-    """Canonicalize ``points`` into a FiniteSet.  Duplicates collapse silently;
-    an empty collection is rejected since spectres of the empty set are not
-    defined here."""
-    return FiniteSet(ctx, points)
+finite_set = FiniteSet  # another name for the constructor
 
 
 def translate(A: FiniteSet, t: Point) -> FiniteSet:
-    return minkowski_sum(A, finite_set(A.ctx, [t]))
+    return minkowski_sum(A, FiniteSet(A.ctx, [t]))
 
 
 def negate(A: FiniteSet) -> FiniteSet:
@@ -348,7 +342,7 @@ def spectre_inflate(B: FiniteSet, x: Point) -> FiniteSet:
     x = validate_point(B.ctx, x)
     if x == zero(B.ctx):
         raise DomainError("the shift must be nonzero")
-    return minkowski_sum(B, canonical_set(B.ctx, [zero(B.ctx), x]))
+    return minkowski_sum(B, FiniteSet(B.ctx, [zero(B.ctx), x]))
 
 
 def _perturbations(dim: int) -> Iterator[Tuple[int, int, int, int]]:

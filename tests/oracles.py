@@ -232,6 +232,15 @@ def naive_psum(coeffs: Sequence[Fraction], terms: Sequence[Fraction]) -> List[Fr
     return sorted(sums)
 
 
+def naive_endpoint_level(ratio: Fraction, depth: int) -> Set[Fraction]:
+    """Endpoints of the level-``depth`` intervals of the self-similar set on
+    [0, 1] with contraction ``ratio`` at both ends, by iterating its two maps."""
+    pts = {ZERO, Fraction(1)}
+    for _ in range(depth):
+        pts = {ratio * p for p in pts} | {1 - ratio + ratio * p for p in pts}
+    return pts
+
+
 def translation_predicate(T: Iterable[Fraction], b: Fraction,
                           eps: Fraction) -> bool:
     """b + (T intersect [0, eps]) == T intersect [b, b+eps]."""

@@ -181,6 +181,10 @@ class TestCodecs:
         with pytest.raises(ParseError, match=r"^sets\[1\]\[1\] duplicates sets\[1\]\[0\]$"):
             decode_family({"group": group, "sets": [[["1/2"]], [[1], ["+2/2"]]]})
 
+    def test_a_family_needs_a_set(self):
+        with pytest.raises(ParseError, match=r"^sets must be nonempty$"):
+            decode_family({"group": {"type": "Qd", "dim": 1, "metric": "sup"}, "sets": []})
+
     def test_non_canonical_documents_decode_like_finite_set(self):
         r = random.Random(1105)
         for _ in range(150):

@@ -223,6 +223,24 @@ class TestCantorPairDemo:
             assert all(0 <= v <= Fraction(3, 4) for v in values)
             assert all(not (Fraction(1, 4) < v < Fraction(1, 2)) for v in values)
 
+    def test_endpoint_levels_are_achievement_sets(self):
+        # The identity demo_level_set builds on: the level-m endpoints of the
+        # self-similar set with ratio r at both ends are the subset sums of
+        # (1 - r) r^i for i < m and r^m.
+        for r in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)):
+            for m in range(9):
+                terms = [(1 - r) * r ** i for i in range(m)] + [r ** m]
+                assert scalars(achievement_set(series_spec(terms))) == \
+                    sorted(oracles.naive_endpoint_level(r, m))
+
+    def test_level_sets_are_the_glued_endpoint_families(self):
+        quarter, third = Fraction(1, 4), Fraction(1, 3)
+        for m in range(9):
+            left = {p * quarter for p in oracles.naive_endpoint_level(quarter, m)}
+            right = {p * quarter + Fraction(1, 2)
+                     for p in oracles.naive_endpoint_level(third, m)}
+            assert scalars(demo_level_set(m)) == sorted(left | right)
+
     def test_reported_radii_shrink_strictly(self):
         report = cantor_pair_demo(6)
         assert report.strictly_decreasing

@@ -3,6 +3,7 @@ spectre checks for achievement sets."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from spectrekit import (
     spectre,
 )
 from gen import rand_noninc_series, rand_series
+from spectrekit.cli import run
+from spectrekit.formats import dumps, encode_series
 from spectrekit.series import series_spectre_checks, third_gap_check
 
 GEO = series_spec(["1", "1/4", "1/16"])
@@ -216,6 +219,23 @@ class TestThirdGap:
             third_gap_check(series_spec(["1/4", "1/2"]))
         with pytest.raises(DomainError):
             third_gap_check(series_spec(["1/2", "-1/4"]))
+
+    def test_an_unexplained_gap_fails_the_report(self, monkeypatch, tmp_path, capsys):
+        # Valid input reaches the refutation only if the lemma fails, so an
+        # empty term-and-tail table stands in for a counterexample: no
+        # dominating gap of GEO is then explained.
+        monkeypatch.setattr("spectrekit.series._explains", lambda s: {})
+        report = third_gap_check(GEO)
+        assert not report.passed
+        assert report.failures() == list(report.items)
+        path = tmp_path / "geo.json"
+        path.write_text(dumps(encode_series(GEO)))
+        assert run(["series", "third-gap", "--series", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "items": [{"detail": "no index provides this term and tail sum",
+                       "label": f"dominating gap {gap}", "passed": False}
+                      for gap in ("(0, 1/16)", "(1/16, 1/4)", "(5/16, 1)")],
+            "name": "third-gap", "note": "", "passed": False}
 
     def test_random_series_always_pass(self):
         r = random.Random(405)

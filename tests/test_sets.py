@@ -15,6 +15,7 @@ from spectrekit import (
     DistValue,
     DomainError,
     FiniteAbelian,
+    FiniteSet,
     GroupMismatchError,
     RationalSpace,
     center_of_distances,
@@ -93,6 +94,9 @@ def takes_mask(A) -> bool:
 
 
 class TestFiniteSet:
+    def test_finite_set_is_the_constructor(self):
+        assert finite_set is FiniteSet
+
     def test_canonical_order_and_dedup(self):
         A = finite_set(Q1, [point(1), point(0), point(1)])
         assert scalars(A) == [0, 1]
