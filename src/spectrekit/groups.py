@@ -172,7 +172,7 @@ def dist(ctx: GroupCtx, p: Point, q: Point) -> DistValue:
     """Exact distance between two points of ``ctx``."""
     p, q = validate_point(ctx, p), validate_point(ctx, q)
     grid = Grid.of(ctx, (p, q))
-    return grid.dist_value(next(grid.column_dists(grid.to_int(p), [[c] for c in grid.to_int(q)])))
+    return grid.dist_value(grid.dist(grid.to_int(p), grid.to_int(q)))
 
 
 def triangle_holds(ab: DistValue, bc: DistValue, ac: DistValue) -> bool:

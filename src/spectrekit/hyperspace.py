@@ -17,9 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
 from math import ceil, inf
-from operator import sub
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, check_budget_power
@@ -212,10 +210,10 @@ def refute_spectre_image(target: FiniteSet,
     grid, ms = Grid.of(ctx), ctx.moduli
     elems = list(itertools.product(*map(range, ms)))
     xs, _, wrap, mods = pack(elems, ms)  # every set of the group packs alike
-    want, flip = frozenset(pack(target.ints, ms)[0]), partial(sub, sum(mods))  # wrap(flip(z)) = -z
+    want = frozenset(pack(target.ints, ms)[0])
     for mask in range(1, 1 << order):
         zs = line_spectre([x for i, x in enumerate(xs) if mask >> i & 1], wrap, mods)
-        if want.issuperset(zs) and want == {*zs, *map(wrap, map(flip, zs))}:
+        if want.issuperset(zs) and want == set(zs):
             return RefuteResult(True, grid.to_set(e for i, e in enumerate(elems) if mask >> i & 1),
                                 mask)
     return RefuteResult(False, None, (1 << order) - 1)

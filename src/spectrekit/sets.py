@@ -76,9 +76,9 @@ def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> F
     The condition does not change when z is replaced by -z, so S(A) = -S(A),
     and every z of S(A) lies in A - A.  Both modes run on the ints of
     ``pack`` under its group law: the fast mode is ``line_spectre``, and
-    the oracle probes the z >= 0 of A - A, or the whole finite group, within
-    ``budget``.  The oracle exists so the two routes can be checked against
-    each other.
+    the oracle probes the z >= 0 of A - A and adds their negatives, or
+    probes the whole finite group, within ``budget``.  The oracle exists so
+    the two routes can be checked against each other.
     """
     if mode not in SPECTRE_MODES:
         raise DomainError(f"unknown spectre mode {mode!r}")
@@ -91,11 +91,11 @@ def spectre(A: FiniteSet, mode: str = "fast", budget: Optional[int] = None) -> F
         check_budget(len(xs) ** 2, budget)
         # A - A is symmetric, so its part z >= 0 holds z or -z for each z.
         zs = probe_line(xs, {y - x for x, y in itertools.combinations(xs, 2)} | {0})
+        zs += [-z for z in zs]
     else:
         check_budget(A.ctx.order(), budget)
         zs = probe_line(xs, pack(list(itertools.product(*map(range, ms))), ms)[0], wrap, mods)
-    mp = sum(mods)
-    return grid.to_set(unpack(zs + [wrap(mp - z) for z in zs]))
+    return grid.to_set(unpack(zs))
 
 
 def pack(pts: Sequence[IntPoint], moduli: Optional[Sequence[int]] = None,
@@ -155,11 +155,12 @@ PROBE_FIRST_SPAN = 1024
 
 def line_spectre(xs: Sequence[int], wrap: Callable[[int], int] = pos,
                  mods: Sequence[int] = ()) -> List[int]:
-    """One of z and -z for each z of the spectre of the ascending ints ``xs``
-    of ``pack``, under its ``wrap`` and ``mods``: the fast route.  Such a z
-    or -z moves min xs onto some x, so the candidates are the x - min.  Each
-    is taken plus sum(mods), which puts a finite group's digits in [0, 2m),
-    and returned reduced by wrap.  On a line they are the z >= 0, ascending.
+    """The spectre of the ascending ints ``xs`` of ``pack``, under its
+    ``wrap`` and ``mods``: the fast route.  One of z and -z moves min xs onto
+    some x, so the candidates are the x - min.  Each is taken plus sum(mods),
+    which puts a finite group's digits in [0, 2m), and each that passes comes
+    back reduced by wrap, followed by its negative.  On a line that is the
+    z >= 0, ascending, then the -z, descending; a z equal to -z comes twice.
 
     With g the gcd of the differences and of mods, xs is the bit mask M with
     a bit at each position (x - min) / g, and N, M moved by the sums of mods,
@@ -175,19 +176,21 @@ def line_spectre(xs: Sequence[int], wrap: Callable[[int], int] = pos,
     g = math.gcd(*map(sub, xs, repeat(lo)), *mods) or 1
     span = (hi - lo) // g
     if span + 2 * mp // g > MASK_SPAN_PER_POINT * len(xs):
-        return probe_line(xs, map(wrap, zs), wrap, mods)
-    if span > PROBE_FIRST_SPAN:
-        zs = probe_line(xs[-1:] + xs[1:8], map(wrap, zs), wrap, mods, xs)
-    bits = bytearray(span // 8 + 1)
-    for x in xs:
-        k = (x - lo) // g
-        bits[k >> 3] |= 1 << (k & 7)
-    M = N = int.from_bytes(bits, "little")
-    for c in mods:
-        N |= (N << c // g) | (N << 2 * c // g)
-    N <<= span  # then x + z and x - z are both right shifts
-    return [wrap(z) for z in zs
-            if not M & ~((N >> span + z // g) | (N >> span + (2 * mp - z) // g))]
+        zs = probe_line(xs, map(wrap, zs), wrap, mods)
+    else:
+        if span > PROBE_FIRST_SPAN:
+            zs = probe_line(xs[-1:] + xs[1:8], map(wrap, zs), wrap, mods, xs)
+        bits = bytearray(span // 8 + 1)
+        for x in xs:
+            k = (x - lo) // g
+            bits[k >> 3] |= 1 << (k & 7)
+        M = N = int.from_bytes(bits, "little")
+        for c in mods:
+            N |= (N << c // g) | (N << 2 * c // g)
+        N <<= span  # then x + z and x - z are both right shifts
+        zs = [wrap(z) for z in zs
+              if not M & ~((N >> span + z // g) | (N >> span + (2 * mp - z) // g))]
+    return zs + [wrap(mp - z) for z in zs]
 
 
 def probe_line(xs: Sequence[int], candidates: Iterable[int], wrap: Callable[[int], int] = pos,
@@ -231,24 +234,19 @@ def center_of_distances(A: FiniteSet) -> List[DistValue]:
     zero; sorted ascending.
 
     In one dimension, x has a partner at distance d(0, z) exactly when x+z
-    or x-z is in A, so C(A) is the d(0, z) of the z of ``line_spectre``,
-    one of z and -z for each z of S(A)."""
+    or x-z is in A, so C(A) is the set of d(0, z) for z in S(A)."""
+    if A.ctx.dim == 1:
+        return distance_set(spectre(A), zero(A.ctx))
     grid = Grid.of(A.ctx, A)
     pts = A.ints
-    if A.ctx.dim == 1:
-        xs, _, wrap, mods = pack(pts, grid.moduli)
-        zs = line_spectre(xs, wrap, mods)
-        return [grid.dist_value(r) for r in sorted(set(grid.column_dists((0,), [zs])))]
-    common: Optional[set] = None
     cols = list(zip(*pts))
-    for p in pts:
-        row = grid.column_dists(p, cols)
-        common = set(row) if common is None else common.intersection(row)
+    common = set(grid.column_dists(pts[0], cols))
+    for p in pts[1:]:
         if len(common) == 1:
             # Zero is realized from every point, so once the intersection
             # shrinks to {0} no later point can change it.
             break
-    assert common is not None
+        common.intersection_update(grid.column_dists(p, cols))
     return [grid.dist_value(r) for r in sorted(common)]
 
 
@@ -277,24 +275,15 @@ def _first_shared_pair(A: FiniteSet, row: Callable[[int], Iterable[object]],
                        value: Callable, reason: str) -> SetVerdict:
     """Fail on the first pair of point pairs, in combination order, whose key
     agrees with an earlier pair's; pass when all keys differ.  ``row(i)``
-    gives the keys of the pairs (i, j) for j > i, in order.  Whole rows are
-    taken while their keys are distinct and new; the first row that is not
-    holds the first repeat, found by a pair-by-pair rescan."""
-    seen: set = set()
-    for i in range(len(A) - 1):
-        keys = list(row(i))
-        if seen.isdisjoint(keys) and len(set(keys)) == len(keys):
-            seen.update(keys)
-            continue
-        first = {}
-        for a in range(i + 1):
-            for b, k in enumerate(row(a), a + 1):
-                if k in first:
-                    e = A.elements
-                    c, d = first[k]
-                    return SetVerdict(False, PairWitness((e[c], e[d]), (e[a], e[b]), value(k)),
-                                      reason)
-                first[k] = (a, b)
+    gives the keys of the pairs (i, j) for j > i, in order."""
+    first = {}
+    for a in range(len(A) - 1):
+        for b, k in enumerate(row(a), a + 1):
+            if k in first:
+                e = A.elements
+                c, d = first[k]
+                return SetVerdict(False, PairWitness((e[c], e[d]), (e[a], e[b]), value(k)), reason)
+            first[k] = (a, b)
     return SetVerdict(True)
 
 

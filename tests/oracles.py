@@ -177,6 +177,18 @@ def naive_is_non_sliding(points: Sequence[Pt],
     return all(n == 1 for d, n in counts.items() if d > 0)
 
 
+def naive_first_shared_pair(points: Sequence[Pt], key: Callable[[Pt, Pt], object]):
+    """(pair_a, pair_b) for the first pair b of points, in combination order,
+    whose key equals that of an earlier pair, and a the earliest such pair;
+    None when all keys differ.  Every earlier pair is compared directly."""
+    pairs = list(itertools.combinations(points, 2))
+    for j, b in enumerate(pairs):
+        for a in pairs[:j]:
+            if key(*a) == key(*b):
+                return a, b
+    return None
+
+
 # -- subset sums, gaps, P-sums ------------------------------------------------
 
 def naive_subset_sums(terms: Sequence[Pt], dim: int = 1) -> List[Pt]:

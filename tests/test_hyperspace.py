@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import partial
@@ -349,6 +350,29 @@ class TestRefuteImage:
                 hit = subset
                 break
         assert result.found == (hit is not None)
+
+    @pytest.mark.parametrize("moduli", [(m,) for m in range(2, 9)] +
+                             [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 2, 2)], ids=str)
+    def test_every_target_of_small_groups_matches_a_naive_scan(self, moduli):
+        # Every nonempty target of every group of order at most 8: the
+        # witness is the least mask whose naive spectre is the target, and
+        # scanned is that mask, or every mask when there is none.
+        ctx = FiniteAbelian(moduli)
+        group = [tuple(map(Fraction, c)) for c in itertools.product(*map(range, moduli))]
+        subsets = [[g for i, g in enumerate(group) if mask >> i & 1]
+                   for mask in range(1 << len(group))]
+        least = {}
+        for mask in range(1, len(subsets)):
+            least.setdefault(tuple(oracles.naive_spectre_mod(subsets[mask], moduli)), mask)
+        for target in subsets[1:]:
+            mask = least.get(tuple(target))
+            result = refute_spectre_image(finite_set(ctx, target))
+            assert result.found == (mask is not None), target
+            if mask is None:
+                assert result.witness is None and result.scanned == len(subsets) - 1, target
+            else:
+                assert list(result.witness.elements) == subsets[mask], target
+                assert result.scanned == mask, target
 
     def test_budget_guard(self):
         ctx = FiniteAbelian((5, 5))

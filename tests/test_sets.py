@@ -39,7 +39,7 @@ from spectrekit import (
 from gen import WIDE, rand_finab_ctx, rand_finab_set, rand_point, rand_qset, space_sets
 from spectrekit import sets
 from spectrekit.groups import METRICS
-from spectrekit.sets import MASK_SPAN_PER_POINT, _perturbations
+from spectrekit.sets import MASK_SPAN_PER_POINT, PROBE_FIRST_SPAN, _perturbations
 
 Q1 = RationalSpace(1)
 Q2 = RationalSpace(2)
@@ -84,6 +84,25 @@ def line_sets(r, metric="sup", rounds=12):
 
 METRIC_DISTS = (("sup", oracles.sup_dist), ("taxicab", oracles.taxicab_dist),
                 ("euclidean-squared", oracles.eucl_sq_dist))
+
+
+# (MASK_SPAN_PER_POINT, PROBE_FIRST_SPAN) forcing each route of line_spectre:
+# every candidate through the probe loop, the mask alone, and probes of a
+# few points before the mask.
+FORCED_ROUTES = ((0, PROBE_FIRST_SPAN), (10 ** 9, 10 ** 9), (10 ** 9, 0))
+
+
+def forced_spectres(A, monkeypatch) -> list:
+    """The fast spectre of A on each of FORCED_ROUTES, each checked to equal
+    its negative: line_spectre returns every z that passes with -z."""
+    out = []
+    for mask_span, probe_first in FORCED_ROUTES:
+        monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", mask_span)
+        monkeypatch.setattr(sets, "PROBE_FIRST_SPAN", probe_first)
+        out.append(spectre(A))
+        assert negate(out[-1]) == out[-1], A
+    monkeypatch.undo()
+    return out
 
 
 def takes_mask(A) -> bool:
@@ -183,9 +202,9 @@ class TestSpectre:
             assert [tuple(p) for p in fast.elements] == oracles.naive_spectre_q(A.elements)
 
     def test_line_routes_agree_with_the_oracle_and_naive(self, monkeypatch):
-        # Every route must give the same spectre: the natural fast route, the
-        # mask and the int probe loop forced for every set, the oracle's scan
-        # of A - A, and the naive scan.
+        # Every route must give the same spectre: the natural fast route, each
+        # of FORCED_ROUTES for every set, the oracle's scan of A - A, and the
+        # naive scan.
         r = random.Random(218)
         routes = set()
         for A in line_sets(r):
@@ -193,10 +212,7 @@ class TestSpectre:
             fast = spectre(A)
             assert list(fast.elements) == oracles.naive_spectre_q(A.elements)
             assert spectre(A, mode="oracle") == fast
-            for c in (0, 10 ** 9):  # every candidate through the probe loop, then the mask
-                monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", c)
-                assert spectre(A) == fast
-            monkeypatch.undo()
+            assert forced_spectres(A, monkeypatch) == [fast] * len(FORCED_ROUTES)
         assert routes == {True, False}
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -211,10 +227,7 @@ class TestSpectre:
             fast = spectre(A)
             assert list(fast.elements) == oracles.naive_spectre_q(A.elements)
             assert spectre(A, mode="oracle") == fast
-            for c in (0, 10 ** 9):
-                monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", c)
-                assert spectre(A) == fast
-            monkeypatch.undo()
+            assert forced_spectres(A, monkeypatch) == [fast] * len(FORCED_ROUTES)
         assert routes == {True, False} and widest > 128
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -243,19 +256,17 @@ class TestSpectre:
     def test_every_subset_of_small_groups_matches_oracle_and_naive(self, moduli, monkeypatch):
         # Every nonempty subset of every product of cyclic groups of order at
         # most 10, so every case with z = -z != 0: the fast route tests one of
-        # z and -z and reflects it.  Both routes of the line test are forced,
-        # and a cyclic center is read off the spectre.
+        # z and -z and returns both.  Each of FORCED_ROUTES is taken, and a
+        # cyclic center is read off the spectre.
         ctx = FiniteAbelian(moduli)
         group = [point(*c) for c in itertools.product(*(range(m) for m in moduli))]
         dist_fn = partial(oracles.torus_dist, moduli=moduli)
         for mask in range(1, 1 << len(group)):
             A = finite_set(ctx, [g for i, g in enumerate(group) if mask >> i & 1])
             want = oracles.naive_spectre_mod(A.elements, moduli)
-            for c in (0, 10 ** 9):  # every candidate through the probe loop, then the mask
-                monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", c)
-                assert list(spectre(A).elements) == want
-                assert list(spectre(A, mode="oracle").elements) == want
-            monkeypatch.undo()
+            assert list(spectre(A, mode="oracle").elements) == want
+            for S in forced_spectres(A, monkeypatch):
+                assert list(S.elements) == want
             if len(moduli) == 1:
                 assert [d.value for d in center_of_distances(A)] == \
                     oracles.naive_center(A.elements, dist_fn)
@@ -270,10 +281,8 @@ class TestSpectre:
         for _ in range(30):
             A = rand_finab_set(r, ctx, r.randint(1, ctx.order()))
             want = oracles.naive_spectre_mod(A.elements, moduli)
-            for c in (0, 10 ** 9):
-                monkeypatch.setattr(sets, "MASK_SPAN_PER_POINT", c)
-                assert list(spectre(A).elements) == want
-            monkeypatch.undo()
+            for S in forced_spectres(A, monkeypatch):
+                assert list(S.elements) == want
             assert list(spectre(A, mode="oracle").elements) == want
 
     @pytest.mark.parametrize("moduli, n", [((4,) * 7, 300), ((3,) * 6, 200), ((2,) * 10, 150),
@@ -503,13 +512,8 @@ class TestStructuralCheckers:
                 if check is is_net_set and len(A) < 3:
                     assert verdict.witness is None
                     continue
-                seen, want = {}, None
-                for pair in itertools.combinations(A.elements, 2):
-                    k = key(*pair)
-                    if k in seen:
-                        want = (seen[k], pair, k)
-                        break
-                    seen[k] = pair
+                want = oracles.naive_first_shared_pair(A.elements, key)
+                want = want and (*want, key(*want[0]))
                 w = verdict.witness
                 got = None if w is None else (w.pair_a, w.pair_b, getattr(
                     w.shared_value, "value", w.shared_value))
@@ -535,17 +539,49 @@ class TestStructuralCheckers:
                     outcomes.add((check, verdict.ok))
                     if check is is_net_set and len(A) < 3:
                         continue
-                    seen, want = {}, None
-                    for pair in itertools.combinations(A.elements, 2):
-                        k = key(*pair)
-                        if k in seen:
-                            want = (seen[k], pair, k)
-                            break
-                        seen[k] = pair
+                    want = oracles.naive_first_shared_pair(A.elements, key)
+                    want = want and (*want, key(*want[0]))
                     w = verdict.witness
                     got = None if w is None else (w.pair_a, w.pair_b, getattr(
                         w.shared_value, "value", w.shared_value))
                     assert got == want, (A.elements, check)
+        assert len(outcomes) == 4
+
+    @pytest.mark.parametrize("ctx", [RationalSpace(d, m) for d in (1, 2) for m in METRICS] +
+                             [FiniteAbelian(ms) for ms in ((7,), (12,), (3, 4), (2, 2, 3))],
+                             ids=str)
+    def test_witnesses_match_the_naive_first_shared_pair(self, ctx):
+        # Both checkers report the pairs of naive_first_shared_pair: net-sets
+        # keyed on the larger of d and -d (as residues on a group), non-sliding
+        # sets on the distance.  Two points are never a net-set, and on a
+        # small torus only two points can be non-sliding.
+        r = random.Random(str(ctx))
+        if isinstance(ctx, FiniteAbelian):
+            ms = ctx.moduli
+            sub = partial(oracles.mod_sub, moduli=ms)
+            dist_fn = partial(oracles.torus_dist, moduli=ms)
+        else:
+            sub, dist_fn = oracles.q_sub, dict(METRIC_DISTS)[ctx.metric]
+        outcomes = set()
+        for _ in range(60):
+            if isinstance(ctx, FiniteAbelian):
+                A = rand_finab_set(r, ctx, r.randint(2, min(9, ctx.order())))
+            else:
+                n, den, pts = r.randint(2, 8), r.choice((1, 3, 16)), set()
+                while len(pts) < n:
+                    pts.add(rand_point(r, ctx.dim, max_den=den))
+                A = finite_set(ctx, pts)
+            for check, key in ((is_net_set, lambda p, q: max(sub(p, q), sub(q, p))),
+                               (is_non_sliding, dist_fn)):
+                verdict = check(A)
+                w = verdict.witness
+                outcomes.add((check, verdict.ok))
+                if check is is_net_set and len(A) < 3:
+                    assert not verdict.ok and w is None
+                    continue
+                want = oracles.naive_first_shared_pair(A.elements, key)
+                assert verdict.ok == (want is None), (A.elements, check)
+                assert (w and (w.pair_a, w.pair_b)) == want, (A.elements, check)
         assert len(outcomes) == 4
 
     def test_net_sets_have_trivial_spectre(self):
