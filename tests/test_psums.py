@@ -17,6 +17,7 @@ from spectrekit import (
     find_gaps,
     finite_set,
     gap_translation_check,
+    initial_subsums,
     pspec,
     psum_set,
     series_spec,
@@ -101,6 +102,20 @@ class TestPsumSet:
         # 3^10000 has more digits than Python will format in a message.
         with pytest.raises(BudgetExceededError, match=r"3\^10000"):
             psum_set(pspec(["0", "1", "2"], ["1"] * 10000))
+
+    def test_a_tight_budget_raises_once_the_sums_are_cached(self):
+        # Each call fills the enumerator's cache; the same call under budget 1
+        # must still raise, with the P-sum base |P| and the subset-sum base 2.
+        terms = ["1/3", "1/9", "1/27", "1/81"]
+        s = series_spec(terms)
+        calls = [(lambda b: psum_set(pspec(["0", "1", "2"], terms), budget=b), "3^4"),
+                 (lambda b: achievement_set(s, budget=b), "2^4"),
+                 (lambda b: initial_subsums(s, 3, budget=b), "2^3")]
+        for call, size in calls:
+            call(None)
+            with pytest.raises(BudgetExceededError) as info:
+                call(1)
+            assert str(info.value) == f"enumeration of size {size} exceeds budget 1"
 
     def test_power_check_agrees_with_the_plain_check(self):
         for base in range(1, 5):
