@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from .errors import DomainError, check_budget_power
+from .errors import DomainError
 from .groups import RationalSpace, to_grid
 from .rational import Rat, RatLike, as_rat
-from .series import _consecutive, _subset_sums_cached, achievement_set, series_spec
+from .series import _consecutive, _subset_sums, achievement_set, series_spec
 from .sets import FiniteSet
 
 _CTX_1D = RationalSpace(1)
@@ -49,11 +49,10 @@ def pspec(coeffs: Iterable[RatLike], terms: Iterable[RatLike]) -> PSpec:
 
 def psum_set(spec: PSpec, budget: Optional[int] = None) -> FiniteSet:
     """T = {sum of xi_n a_n : xi_n in P}, as a one-dimensional set."""
-    check_budget_power(len(spec.coeffs), len(spec.terms), budget)
     # The terms and the nonzero coefficients, each on its own integer grid.
     s, menu = series_spec(spec.terms), series_spec(spec.coeffs[1:])
-    return _subset_sums_cached(_CTX_1D, s.ints, s.scale * menu.scale,
-                               tuple(c for (c,) in menu.ints))
+    return _subset_sums(_CTX_1D, s.ints, s.scale * menu.scale, budget,
+                        tuple(c for (c,) in menu.ints))
 
 
 def gap_translation_check(T: FiniteSet, gap: Tuple[RatLike, RatLike]) -> Rat:

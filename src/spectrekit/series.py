@@ -92,20 +92,20 @@ def series_spec(terms: Iterable[TermLike], dim: Optional[int] = None) -> SeriesS
 
 
 def _subset_sums(ctx: RationalSpace, terms: Sequence[IntPoint], scale: int,
-                 budget: Optional[int]) -> FiniteSet:
-    check_budget_power(2, len(terms), budget)
-    return _subset_sums_cached(ctx, tuple(terms), scale)
+                 budget: Optional[int], menu: Tuple[int, ...] = (1,)) -> FiniteSet:
+    check_budget_power(len(menu) + 1, len(terms), budget)
+    return _subset_sums_cached(ctx, tuple(terms), scale, menu)
 
 
 @lru_cache(maxsize=8)  # test_acceptance's c09 runs as fast at 8 entries as at 128
 def _subset_sums_cached(ctx: RationalSpace, terms: Tuple[IntPoint, ...],
-                        scale: int, menu: Tuple[int, ...] = (1,)) -> FiniteSet:
+                        scale: int, menu: Tuple[int, ...]) -> FiniteSet:
     """All sums of c_n * t_n / scale over the grid terms t_n with each c_n
     either 0 or taken from the integer ``menu``: the subset sums for the
     menu (1,), the P-sums for the nonzero coefficients of P on their own
     grid.  The sums run on the ints of ``sets.pack``, which are sorted and
     unpacked once.  Every argument is part of the cache key."""
-    # The budget check stays in the caller so a tight budget still raises
+    # The budget check stays in _subset_sums so a tight budget still raises
     # even when the enumeration happens to be cached.  FiniteSet is frozen,
     # so sharing one instance across callers is safe.
     reach = max(menu, default=0) * sum(max(map(abs, t)) for t in terms)  # bounds a sum

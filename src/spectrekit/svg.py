@@ -9,7 +9,7 @@ this size, so equal inputs always produce identical documents.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from .planar import AxisGap, RectGap, _require_planar
 from .sets import FiniteSet
@@ -38,43 +38,33 @@ def render_planar_svg(E: FiniteSet,
     for g in rects:
         xs.extend((g.a, g.b))
         ys.extend((g.c, g.d))
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    span_x = xmax - xmin or Fraction(1)
-    span_y = ymax - ymin or Fraction(1)
     inner = SIZE - 2 * MARGIN
 
-    def X(v: Fraction) -> float:
-        return MARGIN + float((v - xmin) / span_x) * inner
+    def axis(values: List[Fraction], origin: int, sign: int) -> Callable[[Fraction], float]:
+        lo = min(values)
+        span = max(values) - lo or Fraction(1)
+        return lambda v: origin + sign * float((v - lo) / span) * inner
 
-    def Y(v: Fraction) -> float:
-        return SIZE - MARGIN - float((v - ymin) / span_y) * inner
-
+    X, Y = axis(xs, MARGIN, 1), axis(ys, SIZE - MARGIN, -1)
     parts: List[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">',
         f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
     ]
+
+    def rect(x0: float, y0: float, x1: float, y1: float, style: str) -> None:
+        """The box from the top-left corner (x0, y0) to (x1, y1)."""
+        parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
+                     f'width="{_fmt(x1 - x0)}" height="{_fmt(y1 - y0)}" {style}/>')
+
     for strip in strips:
-        fill = _STRIP_FILL.get(strip.axis, "#6b7280")
+        style = f'fill="{_STRIP_FILL.get(strip.axis, "#6b7280")}" opacity="0.15"'
         if strip.axis == "x":
-            x0, x1 = X(strip.lo), X(strip.hi)
-            parts.append(
-                f'<rect x="{_fmt(x0)}" y="{MARGIN}" '
-                f'width="{_fmt(x1 - x0)}" height="{inner}" '
-                f'fill="{fill}" opacity="0.15"/>')
+            rect(X(strip.lo), MARGIN, X(strip.hi), SIZE - MARGIN, style)
         else:
-            y1, y0 = Y(strip.lo), Y(strip.hi)
-            parts.append(
-                f'<rect x="{MARGIN}" y="{_fmt(y0)}" '
-                f'width="{inner}" height="{_fmt(y1 - y0)}" '
-                f'fill="{fill}" opacity="0.15"/>')
+            rect(MARGIN, Y(strip.hi), SIZE - MARGIN, Y(strip.lo), style)
     for g in rects:
-        x0, x1 = X(g.a), X(g.b)
-        y1, y0 = Y(g.c), Y(g.d)
-        parts.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-            f'width="{_fmt(x1 - x0)}" height="{_fmt(y1 - y0)}" {_RECT_STYLE}/>')
+        rect(X(g.a), Y(g.d), X(g.b), Y(g.c), _RECT_STYLE)
     for p in E.elements:
         parts.append(
             f'<circle cx="{_fmt(X(p[0]))}" cy="{_fmt(Y(p[1]))}" '
