@@ -199,7 +199,7 @@ def second_gap_lemma_2d(s: SeriesSpec, gap: RectGap,
     # Some term reaches the gap size: otherwise (a, c) plus any term outside
     # its index set would be a third point of E in the rectangle.
     k = max(n for n, (x, y) in enumerate(s.ints, 1) if x >= b - a or y >= d - c)
-    F_k = _subset_sums(s.ctx, s.ints[:k], S, budget)
+    F_k = _subset_sums(s, s.ints[:k], S, budget)
     items.append(CheckItem(
         f"upper corner in F_{k}", F_k.contains_int((b, d), S),
         f"corner ({format_scaled(b, S)}, {format_scaled(d, S)})"))

@@ -21,8 +21,6 @@ from .rational import Rat, RatLike, as_rat
 from .series import _consecutive, _subset_sums, achievement_set, series_spec
 from .sets import FiniteSet
 
-_CTX_1D = RationalSpace(1)
-
 
 class PSpec(NamedTuple):
     """Coefficient menu P (sorted, containing 0) and the term list."""
@@ -51,7 +49,7 @@ def psum_set(spec: PSpec, budget: Optional[int] = None) -> FiniteSet:
     """T = {sum of xi_n a_n : xi_n in P}, as a one-dimensional set."""
     # The terms and the nonzero coefficients, each on its own integer grid.
     s, menu = series_spec(spec.terms), series_spec(spec.coeffs[1:])
-    return _subset_sums(_CTX_1D, s.ints, s.scale * menu.scale, budget,
+    return _subset_sums(s, s.ints, s.scale * menu.scale, budget,
                         tuple(c for (c,) in menu.ints))
 
 
@@ -115,7 +113,7 @@ def demo_level_set(m: int) -> FiniteSet:
     for r, shift in ((Fraction(1, 4), 0), (Fraction(1, 3), Fraction(1, 2))):
         terms = [(1 - r) * r ** i / 4 for i in range(m)] + [r ** m / 4]
         points += [(x + shift,) for (x,) in achievement_set(series_spec(terms))]
-    return FiniteSet(_CTX_1D, points)
+    return FiniteSet(RationalSpace(1), points)
 
 
 def cantor_pair_demo(levels: int) -> DemoReport:

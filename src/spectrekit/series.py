@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
@@ -62,6 +62,10 @@ class SeriesSpec(Frozen):
         return len(self.ints)
 
     @cached_property
+    def _sums(self) -> Dict[tuple, FiniteSet]:
+        return {}
+
+    @cached_property
     def nonnegative(self) -> bool:
         return min(map(min, self.ints), default=0) >= 0
 
@@ -91,30 +95,28 @@ def series_spec(terms: Iterable[TermLike], dim: Optional[int] = None) -> SeriesS
     return SeriesSpec(grid.scale, tuple(map(grid.to_int, pts)), grid.ctx)
 
 
-def _subset_sums(ctx: RationalSpace, terms: Sequence[IntPoint], scale: int,
+def _subset_sums(s: SeriesSpec, terms: Sequence[IntPoint], scale: int,
                  budget: Optional[int], menu: Tuple[int, ...] = (1,)) -> FiniteSet:
+    """All sums of c_n * t_n / scale over the grid terms t_n, a slice of
+    ``s.ints``, with each c_n 0 or from the integer ``menu``: subset sums for
+    the menu (1,), P-sums for P's nonzero coefficients on their own grid, run
+    on the sorted ints of ``sets.pack``.  The budget is checked on every call,
+    and the sums of all of s's terms are kept on s (not each F_k and E_k,
+    which their callers build once each, so the peak memory stays low)."""
     check_budget_power(len(menu) + 1, len(terms), budget)
-    return _subset_sums_cached(ctx, tuple(terms), scale, menu)
-
-
-@lru_cache(maxsize=8)  # test_acceptance's c09 runs as fast at 8 entries as at 128
-def _subset_sums_cached(ctx: RationalSpace, terms: Tuple[IntPoint, ...],
-                        scale: int, menu: Tuple[int, ...]) -> FiniteSet:
-    """All sums of c_n * t_n / scale over the grid terms t_n with each c_n
-    either 0 or taken from the integer ``menu``: the subset sums for the
-    menu (1,), the P-sums for the nonzero coefficients of P on their own
-    grid.  The sums run on the ints of ``sets.pack``, which are sorted and
-    unpacked once.  Every argument is part of the cache key."""
-    # The budget check stays in _subset_sums so a tight budget still raises
-    # even when the enumeration happens to be cached.  FiniteSet is frozen,
-    # so sharing one instance across callers is safe.
+    key = (tuple(terms), scale, menu)
+    if key in s._sums:
+        return s._sums[key]
     reach = max(menu, default=0) * sum(max(map(abs, t)) for t in terms)  # bounds a sum
-    xs, unpack, _, _ = pack([(0,) * ctx.dim, *terms], None, reach)  # xs[0] is 0
+    xs, unpack, _, _ = pack([(0,) * s.dim, *terms], None, reach)  # xs[0] is 0
     sums = {0}
     for t in xs[1:]:
         steps = [c * t for c in menu]
-        sums |= {s + d for d in steps for s in sums}
-    return Grid(ctx, scale).to_set(unpack(sorted(sums)))
+        sums |= {v + d for d in steps for v in sums}
+    E = Grid(s.ctx, scale).to_set(unpack(sorted(sums)))
+    if len(terms) == s.count:
+        s._sums[key] = E
+    return E
 
 
 def _check_k(s: SeriesSpec, k: int, least: int = 0) -> None:
@@ -137,14 +139,14 @@ def initial_subsums(s: SeriesSpec, k: int,
                     budget: Optional[int] = None) -> FiniteSet:
     """F_k: sums over subsets of the first k terms.  F_0 = {0}."""
     _check_k(s, k)
-    return _subset_sums(s.ctx, s.ints[:k], s.scale, budget)
+    return _subset_sums(s, s.ints[:k], s.scale, budget)
 
 
 def remainder_subsums(s: SeriesSpec, k: int,
                       budget: Optional[int] = None) -> FiniteSet:
     """E_k: sums over subsets of the terms after position k.  E_N = {0}."""
     _check_k(s, k)
-    return _subset_sums(s.ctx, s.ints[k:], s.scale, budget)
+    return _subset_sums(s, s.ints[k:], s.scale, budget)
 
 
 def remainder_sum(s: SeriesSpec, k: int) -> Rat:
@@ -159,7 +161,7 @@ def achievement_set(s: SeriesSpec, budget: Optional[int] = None) -> FiniteSet:
     """E: all subset sums of a nonnegative series."""
     if not s.nonnegative:
         raise DomainError("achievement sets are defined for nonnegative terms")
-    return _subset_sums(s.ctx, s.ints, s.scale, budget)
+    return _subset_sums(s, s.ints, s.scale, budget)
 
 
 # -- one-dimensional gaps -----------------------------------------------------
@@ -276,7 +278,7 @@ def series_spectre_checks(s: SeriesSpec,
     grid = Grid(ctx, S)  # S(F) lies in F - F, so every spectre here is on this grid
 
     def spectre_of(terms: Sequence[IntPoint]) -> FrozenSet[IntPoint]:
-        return frozenset(grid.ints(spectre(_subset_sums(ctx, terms, S, budget))))
+        return frozenset(grid.ints(spectre(_subset_sums(s, terms, S, budget))))
 
     member = spectre_of(s.ints)  # S(E)
     items: List[CheckItem] = []

@@ -85,8 +85,9 @@ class TestPsumSet:
             assert psum_set(spec) == achievement_set(series_spec(terms))
 
     def test_menu_is_part_of_the_cache_key(self):
-        # Both calls go through one cached enumerator on the same terms; a
-        # key without the coefficient menu would hand back the first result.
+        # Both calls go through one enumerator on the same terms; each keeps
+        # its sums on its own series under a key that holds the menu, so
+        # neither can hand back the other's.
         terms = [Fraction(1, 3), Fraction(1, 9), Fraction(1, 2)]
         E = achievement_set(series_spec(terms))
         T = psum_set(pspec(["0", "1", "2"], terms))
@@ -104,8 +105,8 @@ class TestPsumSet:
             psum_set(pspec(["0", "1", "2"], ["1"] * 10000))
 
     def test_a_tight_budget_raises_once_the_sums_are_cached(self):
-        # Each call fills the enumerator's cache; the same call under budget 1
-        # must still raise, with the P-sum base |P| and the subset-sum base 2.
+        # Each call fills its series' memo; the same call under budget 1 must
+        # still raise, with the P-sum base |P| and the subset-sum base 2.
         terms = ["1/3", "1/9", "1/27", "1/81"]
         s = series_spec(terms)
         calls = [(lambda b: psum_set(pspec(["0", "1", "2"], terms), budget=b), "3^4"),

@@ -3,8 +3,10 @@ spectre checks for achievement sets."""
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,7 @@ from spectrekit import (
 from gen import rand_noninc_series, rand_series
 from spectrekit.cli import run
 from spectrekit.formats import dumps, encode_series
-from spectrekit.series import series_spectre_checks, third_gap_check
+from spectrekit.series import _subset_sums, series_spectre_checks, third_gap_check
 
 GEO = series_spec(["1", "1/4", "1/16"])
 
@@ -126,6 +128,22 @@ class TestSubsums:
     def test_achievement_set_requires_nonnegative_terms(self):
         with pytest.raises(DomainError):
             achievement_set(series_spec(["-1/2", "1"]))
+
+    def test_sums_are_kept_on_their_series_and_die_with_it(self):
+        terms = ["1/3", "1/9", "1/2", "1/27"]
+        s = series_spec(terms)
+        E = achievement_set(s)
+        assert achievement_set(s) is E
+        # The kept E must not stand in for the sums of a slice of the terms.
+        assert initial_subsums(s, 1).elements == tuple(oracles.naive_subset_sums(s.terms[:1]))
+        assert remainder_subsums(s, 1).elements == tuple(oracles.naive_subset_sums(s.terms[1:]))
+        # Nor for the P-sums of the same terms.
+        T = _subset_sums(s, s.ints, s.scale, None, (1, 2))
+        assert [x for (x,) in T.elements] == oracles.naive_psum([0, 1, 2], [x for (x,) in s.terms])
+        gone = weakref.ref(E)
+        del s, E
+        gc.collect()
+        assert gone() is None
 
     def test_budget_guard(self):
         s = series_spec(["1"] * 12)
@@ -345,6 +363,8 @@ class TestSeriesSpectreChecks:
         s = series_spec([Fraction(1, 3 ** k) for k in range(n)])
         assert series_spectre_checks(s).passed
         assert len(calls) == 2 * n + 1
+        # Only E is kept on the series, not one set per slice.
+        assert list(s._sums) == [(s.ints, s.scale, (1,))]
 
     def test_random_planar_series_pass(self):
         r = random.Random(409)

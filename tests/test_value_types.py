@@ -26,6 +26,7 @@ from spectrekit import (
     RefuteResult,
     SeriesSpec,
     SetVerdict,
+    achievement_set,
     point,
     series_spec,
 )
@@ -175,6 +176,10 @@ def test_series_spec_caches_terms_and_sign():
     assert s.terms is s.terms == ((F(1, 2),), (F(-1, 3),))
     assert s.nonnegative is False and "nonnegative" in vars(s)
     fresh = series_spec(["1/2", "-1/3"])
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    # A series keeps its achievement set once built, outside its fields.
+    s, fresh = series_spec(["1/2", "1/3"]), series_spec(["1/2", "1/3"])
+    achievement_set(s)
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
 
 
