@@ -145,7 +145,7 @@ def zero(ctx: GroupCtx) -> Point:
 
 
 def require_same_ctx(a: GroupCtx, b: GroupCtx) -> None:
-    if a != b:
+    if a is not b and a != b:  # one shared object, the common case, skips two _key() builds
         raise GroupMismatchError(f"ambient groups differ: {a} vs {b}")
 
 
@@ -253,11 +253,14 @@ class Grid:
     @classmethod
     def of(cls, ctx: GroupCtx, *parts: Union["FiniteSet", Iterable[Point]]) -> "Grid":
         """The coarsest grid of ``ctx`` that holds every part: a FiniteSet is
-        read by its scale, a sequence of loose points by their denominators."""
-        scales = [part.scale for part in parts if isinstance(part, FiniteSet)]
+        read by its scale, a sequence of loose points by their denominators.
+        A FiniteSet of another group raises a GroupMismatchError."""
+        sets = [part for part in parts if isinstance(part, FiniteSet)]
+        for A in sets:
+            require_same_ctx(ctx, A.ctx)
         dens = {c.denominator for part in parts if not isinstance(part, FiniteSet)
                 for p in part for c in p}
-        return cls(ctx, math.lcm(1, *scales, *dens))
+        return cls(ctx, math.lcm(1, *(A.scale for A in sets), *dens))
 
     def column_dists(self, p: IntPoint, cols: Sequence[Sequence[int]]) -> Iterator[int]:
         """The raw distances from p to the points whose coordinate columns are

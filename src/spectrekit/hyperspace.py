@@ -28,7 +28,6 @@ from .groups import (
     Grid,
     IntPoint,
     RationalSpace,
-    require_same_ctx,
 )
 from .rational import Rat
 from .sets import FiniteSet, line_spectre, min_positive_distance, pack, spectre
@@ -63,7 +62,6 @@ def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint]) -> int
 
 def _both_ways(A: FiniteSet, B: FiniteSet) -> Tuple[Grid, int, int]:
     """The grid of A and B and the raw directed distances from A to B and from B to A."""
-    require_same_ctx(A.ctx, B.ctx)
     grid = Grid.of(A.ctx, A, B)
     pa, pb = grid.ints(A), grid.ints(B)
     return grid, _directed(grid, pa, pb), _directed(grid, pb, pa)
@@ -83,7 +81,6 @@ def fatten_contains(B: FiniteSet, A: FiniteSet, eps: Rat) -> bool:
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("fattening radius must be positive")
-    require_same_ctx(A.ctx, B.ctx)
     grid = Grid.of(A.ctx, A, B)
     return grid.dist_value(_directed(grid, grid.ints(B), grid.ints(A))).value < eps
 
@@ -133,7 +130,6 @@ def probe_spectre_continuity(A: FiniteSet, family: Sequence[FiniteSet],
     SA = spectre(A)
     rows = []
     for i, member in enumerate(family, start=1):
-        require_same_ctx(A.ctx, member.ctx)
         input_distance = hausdorff(A, member)
         grid, out, back = _both_ways(SA, spectre(member))
         if eps <= 0:  # where fatten_contains would raise it

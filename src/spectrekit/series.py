@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from .errors import DomainError, SpectreKitError, check_budget_power
+from .errors import DomainError, check_budget_power
 from .groups import Frozen, Grid, IntPoint, RationalSpace
 from .rational import Point, Rat, RatLike, as_rat, format_scaled, point
 from .reports import CheckItem, LemmaReport
@@ -218,22 +218,19 @@ def first_gap_check_1d(s: SeriesSpec, k: int,
     Let A collect the indices with terms strictly below a_k.  When a_k
     exceeds the sum over A, the interval (sum over A, a_k) is a gap of the
     achievement set; the function returns that gap as the detector reports
-    it, or None when the hypothesis fails.
+    it, or None when the hypothesis fails, building only the 2^|A| sums over A.
     """
     if s.dim != 1:
         raise DomainError("this gap prediction applies to scalar series")
     _check_k(s, k, 1)
     if not s.nonnegative:
         raise DomainError("nonnegative terms required")
-    _, below, a_k = _first_gap_axis([x for (x,) in s.ints], k)
+    idx, below, a_k = _first_gap_axis([x for (x,) in s.ints], k)
     if a_k <= below:
         return None
-    pts = achievement_set(s, budget).ints  # on the series' grid
-    if not _consecutive(pts, (below,), (a_k,)):
-        raise SpectreKitError(f"predicted gap ({format_scaled(below, s.scale)}, "
-                              f"{format_scaled(a_k, s.scale)}) is absent")
-    # The last gap of pts up to a_k is (below, a_k), flagged as find_gaps flags it.
-    *_, (_, _, dominating) = _int_gaps([x for (x,) in pts[:bisect_left(pts, (a_k,)) + 1]])
+    # A sum below a_k uses only A's terms, so E up to a_k is A's sums (at most below) and a_k.
+    sums = Grid(s.ctx, s.scale).ints(_subset_sums(s, [s.ints[n] for n in idx], s.scale, budget))
+    *_, (_, _, dominating) = _int_gaps([x for (x,) in sums] + [a_k])
     return Gap1D(Fraction(below, s.scale), Fraction(a_k, s.scale), dominating)
 
 

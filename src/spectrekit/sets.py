@@ -27,7 +27,6 @@ from .groups import (
     Grid,
     IntPoint,
     RationalSpace,
-    require_same_ctx,
     validate_point,
     zero,
 )
@@ -51,7 +50,6 @@ def negate(A: FiniteSet) -> FiniteSet:
 def minkowski_sum(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     """A + B, each sum wrap(x + y) of ``pack``'s ints, which are sorted and
     unpacked once."""
-    require_same_ctx(A.ctx, B.ctx)
     grid = Grid.of(A.ctx, A, B)
     pa, pb = grid.ints(A), grid.ints(B)
     reach = 2 * max(map(abs, itertools.chain(*pa, *pb)))  # bounds |coordinate| of a sum

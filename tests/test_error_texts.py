@@ -1,5 +1,6 @@
-"""The exact text of each domain and input error that no other test raises.
-Callers and scripts match on these texts, so each one is pinned here."""
+"""The exact text of each domain, group and input error whose text no other
+test checks.  Callers and scripts match on these texts, so each one is pinned
+here."""
 
 from __future__ import annotations
 
@@ -8,13 +9,18 @@ import pytest
 from spectrekit import (
     DomainError,
     FiniteAbelian,
+    GroupMismatchError,
     RationalSpace,
     achievement_set_2d,
     finite_set,
+    fatten_contains,
     first_gap_check_1d,
     gap_translation_check,
+    hausdorff,
+    minkowski_sum,
     perturbation_family,
     point,
+    probe_spectre_continuity,
     pspec,
     remainder_sum,
     series_spec,
@@ -26,6 +32,10 @@ from spectrekit.formats import decode_series, decode_set
 LINE = finite_set(RationalSpace(1), [point(0), point(1)])
 PLANAR = series_spec([("1/2", "1/3"), ("1/4", "1/9")])
 Q1_GROUP = {"type": "Qd", "dim": 1}
+PLANE = finite_set(RationalSpace(2), [point(0, 0)])
+Z5 = finite_set(FiniteAbelian((5,)), [point(0), point(2)])
+Q1_NAME, Q2_NAME = "RationalSpace(dim=1, metric='sup')", "RationalSpace(dim=2, metric='sup')"
+Z5_NAME = "FiniteAbelian(moduli=(5,))"
 
 # (call, error class, exact text); argparse errors exit 2 with the text on stderr.
 ERRORS = {
@@ -60,6 +70,25 @@ ERRORS = {
                           "dim must be an integer"),
     "budget-not-an-int": (lambda: main(["spectre", "--set", "a.json", "--budget", "x"]),
                           SystemExit, "argument --budget: invalid int value: 'x'"),
+    # A group mismatch names the groups in operand order; a bad radius comes first.
+    "minkowski-line-plane": (lambda: minkowski_sum(LINE, PLANE), GroupMismatchError,
+                             f"ambient groups differ: {Q1_NAME} vs {Q2_NAME}"),
+    "minkowski-plane-line": (lambda: minkowski_sum(PLANE, LINE), GroupMismatchError,
+                             f"ambient groups differ: {Q2_NAME} vs {Q1_NAME}"),
+    "hausdorff-line-z5": (lambda: hausdorff(LINE, Z5), GroupMismatchError,
+                          f"ambient groups differ: {Q1_NAME} vs {Z5_NAME}"),
+    "hausdorff-z5-line": (lambda: hausdorff(Z5, LINE), GroupMismatchError,
+                          f"ambient groups differ: {Z5_NAME} vs {Q1_NAME}"),
+    # fatten_contains(B, A, eps) asks whether B lies near A, so A's group comes first.
+    "fatten-line-in-plane": (lambda: fatten_contains(LINE, PLANE, 1), GroupMismatchError,
+                             f"ambient groups differ: {Q2_NAME} vs {Q1_NAME}"),
+    "fatten-plane-in-line": (lambda: fatten_contains(PLANE, LINE, 1), GroupMismatchError,
+                             f"ambient groups differ: {Q1_NAME} vs {Q2_NAME}"),
+    "fatten-zero-radius": (lambda: fatten_contains(LINE, PLANE, 0), DomainError,
+                           "fattening radius must be positive"),
+    "probe-member-elsewhere": (lambda: probe_spectre_continuity(LINE, [LINE, PLANE], 1),
+                               GroupMismatchError,
+                               f"ambient groups differ: {Q1_NAME} vs {Q2_NAME}"),
 }
 
 
@@ -72,3 +101,4 @@ def test_each_error_has_its_exact_text(capsys, call, error, text):
         assert capsys.readouterr().err.endswith(f": error: {text}\n")
     else:
         assert str(info.value) == text
+

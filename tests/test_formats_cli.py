@@ -701,14 +701,15 @@ class TestCliContract:
             assert "{%s}" % ",".join(leaves) in capsys.readouterr().out
 
     def test_internal_failure_exits_four(self, tmp_path, capsys, monkeypatch):
-        # An achievement set without the predicted gap (5/16, 1): 1 is missing.
-        monkeypatch.setattr("spectrekit.series.achievement_set",
-                            lambda s, budget=None: finite_set(Q1, [point(0), point("5/16")]))
-        path = write(tmp_path, "s.json", encode_series(series_spec(["1", "1/4", "1/16"])))
-        assert run(["series", "first-gap", "--k", "1", "--series", path]) == 4
+        # With one candidate per point, 1/2 is turned away (1/2 - 1/4 = 1/4 - 0)
+        # and has no perturbation left to try.
+        monkeypatch.setattr("spectrekit.sets._DENSIFY_SCAN_CAP", 1)
+        A = finite_set(Q1, [point(0), point("1/4"), point("1/2")])
+        path = write(tmp_path, "a.json", encode_set(A))
+        assert run(["netset", "make", "--eps", "1/16", "--set", path]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: predicted gap")
+        assert captured.err.startswith("error: perturbation scan exhausted")
 
     def test_readme_lists_every_command(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

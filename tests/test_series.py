@@ -312,13 +312,31 @@ class TestFirstGap1D:
                     assert (gap.alpha, gap.beta) in detected
 
     def test_prediction_carries_the_detected_dominating_flag(self):
+        # Small denominators give zero and tied terms; every other series has runs.
         r = random.Random(408)
-        for _ in range(200):
-            s = rand_series(r, max_terms=8, max_den=4)
-            gaps = find_gaps(achievement_set(s))
+        for i in range(200):
+            s = rand_series(r, max_terms=14, max_den=4, with_runs=i % 2 == 1)
+            gaps = set(find_gaps(achievement_set(s)))
             for k in range(1, s.count + 1):
                 gap = first_gap_check_1d(s, k)
                 assert gap is None or gap in gaps, (s.terms, k)
+
+    def test_the_budget_counts_only_the_terms_below_a_k(self, tmp_path, capsys):
+        # E has 2^24 sums, past the default budget of 2^20, but only the
+        # 12 terms after a_12 lie below it, and 23 lie below a_1.
+        terms = [Fraction(1, 3 ** k) + Fraction(1, 7 ** k) for k in range(1, 25)]
+        path = tmp_path / "s.json"
+        path.write_text(dumps(encode_series(series_spec(terms))))
+        assert run(["series", "first-gap", "--k", "12", "--series", str(path)]) == 0
+        sums = sorted({v for (v,) in oracles.naive_subset_sums([(t,) for t in terms[12:]])})
+        alpha, beta = sums[-1], terms[11]
+        dominating = all(beta - alpha > hi - lo for lo, hi in zip(sums, sums[1:]))
+        assert json.loads(capsys.readouterr().out) == {"applicable": True, "gap": {
+            "alpha": str(alpha), "beta": str(beta), "dominating": dominating,
+            "length": str(beta - alpha)}}
+        assert run(["series", "first-gap", "--k", "1", "--series", str(path)]) == 3
+        assert capsys.readouterr().err == \
+            "error: enumeration of size 2^23 exceeds budget 1048576\n"
 
 
 class TestSeriesSpectreChecks:
