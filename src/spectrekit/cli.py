@@ -282,7 +282,7 @@ def _cmd_planar_gaps(ns: argparse.Namespace) -> Result:
 
 
 def _cmd_planar_first_gap(ns: argparse.Namespace) -> Result:
-    return _report_result(first_gap_lemma_2d(_series(ns, 2), ns.k, budget=ns.budget))
+    return _report_result(first_gap_lemma_2d(_series(ns, 2), ns.k))
 
 
 def _cmd_planar_second_gap(ns: argparse.Namespace) -> Result:
@@ -304,8 +304,7 @@ def _cmd_planar_example(ns: argparse.Namespace) -> Result:
     rows: Rows = list(obj["set"]["points"])
     code = 0
     if ns.check:
-        obj["report"], report_rows, code = _report_result(
-            third_gap_failure_witness(budget=ns.budget))
+        obj["report"], report_rows, code = _report_result(third_gap_failure_witness())
         rows.extend(report_rows)
     return obj, rows, code
 

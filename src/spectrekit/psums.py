@@ -12,13 +12,14 @@ not attained, and always positive since max(T) is a defect.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
 from .groups import RationalSpace, to_grid
 from .rational import Rat, RatLike, as_rat
-from .series import _consecutive, _subset_sums, achievement_set, series_spec
+from .series import _subset_sums, achievement_set, series_spec
 from .sets import FiniteSet
 
 
@@ -71,7 +72,8 @@ def gap_translation_check(T: FiniteSet, gap: Tuple[RatLike, RatLike]) -> Rat:
         raise DomainError("the set must contain 0 as its minimum")
     a, b = as_rat(gap[0]), as_rat(gap[1])
     ends = to_grid((a, b), T.scale)
-    if ends is None or not _consecutive(xs, *ends):
+    i = 0 if ends is None else bisect_left(xs, ends[0])
+    if ends is None or xs[i:i + 2] != list(ends):  # a gap's ends are consecutive in T
         raise DomainError(f"({a}, {b}) is not a gap of the set")
     bi = ends[1]
 

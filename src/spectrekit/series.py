@@ -16,7 +16,6 @@ compare terms, tails and gap ends with the integer points of E.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
@@ -186,12 +185,6 @@ def _int_gaps(xs: Sequence[int]) -> Iterator[Tuple[int, int, bool]]:
     for lo, hi in zip(xs, xs[1:]):
         yield lo, hi, hi - lo > longest
         longest = max(longest, hi - lo)
-
-
-def _consecutive(xs: Sequence, lo: object, hi: object) -> bool:
-    """Whether lo and hi are consecutive values of the sorted distinct values xs."""
-    i = bisect_left(xs, lo)
-    return list(xs[i:i + 2]) == [lo, hi]
 
 
 def _first_gap_axis(xs: Sequence[int], k: int) -> Tuple[List[int], int, int]:

@@ -237,6 +237,38 @@ def naive_rect_gaps(points: Iterable[Pt]) -> List[Tuple[Fraction, Fraction, Frac
     return sorted(out)
 
 
+def naive_first_gap_2d(terms: Sequence[Pt],
+                       k: int) -> List[Tuple[bool, Tuple[Fraction, ...], bool]]:
+    """The planar first-gap predictions from term k (1-based), checked on all
+    subset sums: one (applicable, prediction, holds) each for the x-axis gap,
+    the y-axis gap and the rectangle.
+
+    A_i holds the indices whose i-th coordinate is below term k's.  Axis i
+    predicts the gap (sum over A_i, term k's coordinate) when that coordinate
+    exceeds the sum; the rectangle (a, b, c, d) spans both predictions when
+    both apply and A_x = A_y.  One that does not apply comes as (False, (), True).
+    """
+    E = naive_subset_sums(terms, 2)
+    top = terms[k - 1]
+    below = [{n for n, t in enumerate(terms) if t[i] < top[i]} for i in (0, 1)]
+    sums = [sum((terms[n][i] for n in below[i]), ZERO) for i in (0, 1)]
+    out = []
+    for i in (0, 1):
+        values = {p[i] for p in E}
+        lo, hi = sums[i], top[i]
+        if hi > lo:
+            holds = lo in values and hi in values and not any(lo < v < hi for v in values)
+            out.append((True, (lo, hi), holds))
+        else:
+            out.append((False, (), True))
+    if below[0] == below[1] and top[0] > sums[0] and top[1] > sums[1]:
+        rect = (sums[0], top[0], sums[1], top[1])
+        out.append((True, rect, naive_rect_gap_ok(E, *rect)))
+    else:
+        out.append((False, (), True))
+    return out
+
+
 def naive_psum(coeffs: Sequence[Fraction], terms: Sequence[Fraction]) -> List[Fraction]:
     """P-sums by full cartesian product over coefficient assignments."""
     sums = {sum((c * t for c, t in zip(assign, terms)), ZERO)

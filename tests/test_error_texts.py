@@ -15,6 +15,7 @@ from spectrekit import (
     finite_set,
     fatten_contains,
     first_gap_check_1d,
+    first_gap_lemma_2d,
     gap_translation_check,
     hausdorff,
     minkowski_sum,
@@ -62,6 +63,17 @@ ERRORS = {
     # The sign is checked before the budget.
     "planar-negative": (lambda: achievement_set_2d(series_spec([("1/2", "-1/3")]), budget=0),
                         DomainError, "achievement sets are defined for nonnegative terms"),
+    # first_gap_lemma_2d checks k, then the dimension, then the sign.
+    "planar-first-gap-1d": (lambda: first_gap_lemma_2d(series_spec(["1/2", "1/4"]), 1),
+                            DomainError, "planar enumeration needs two-dimensional terms"),
+    "planar-first-gap-3d": (lambda: first_gap_lemma_2d(series_spec([("1", "1", "1")]), 1),
+                            DomainError, "planar enumeration needs two-dimensional terms"),
+    "planar-first-gap-negative": (
+        lambda: first_gap_lemma_2d(series_spec([("1/2", "-1/3"), ("1/4", "1/9")]), 1),
+        DomainError, "achievement sets are defined for nonnegative terms"),
+    "planar-first-gap-negative-k0": (
+        lambda: first_gap_lemma_2d(series_spec([("1/2", "-1/3"), ("1/4", "1/9")]), 0),
+        DomainError, "k must lie in [1, 2], got 0"),
     "points-object": (lambda: decode_set({"group": Q1_GROUP, "points": {}}), ParseError,
                       "points must be a JSON array, got dict"),
     "points-empty": (lambda: decode_set({"group": Q1_GROUP, "points": []}), ParseError,

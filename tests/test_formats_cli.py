@@ -507,6 +507,20 @@ class TestCliSeries:
         assert capsys.readouterr().err == "error: dim must be a positive integer, got 0\n"
 
 
+# planar first-gap on (1/2^j, 1/3^j), j = 1..24: below term k the x-sum is
+# 1/2^k - 1/2^24 and the y-sum (1/3^k - 1/3^24)/2, for k = 1 and 12.
+P24_FIRST_GAP_K1 = (
+    'item,"x-gap (8388607/16777216, 1/2)",True,\n'
+    'item,"y-gap (47071589413/282429536481, 1/3)",True,\n'
+    'item,"rect gap (8388607/16777216, 1/2) x (47071589413/282429536481, 1/3)",True,\n'
+    'result,True\n')
+P24_FIRST_GAP_K12 = (
+    'item,"x-gap (4095/16777216, 1/4096)",True,\n'
+    'item,"y-gap (265720/282429536481, 1/531441)",True,\n'
+    'item,"rect gap (4095/16777216, 1/4096) x (265720/282429536481, 1/531441)",True,\n'
+    'result,True\n')
+
+
 class TestCliPlanar:
     def test_example_check(self, capsys):
         assert run(["planar", "example", "--check"]) == 0
@@ -556,6 +570,22 @@ class TestCliPlanar:
         path = write(tmp_path, "s.json", encode_series(series_spec(terms)))
         assert run(["planar", "first-gap", "--k", "1", "--series", path]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize("k, budget, csv", [
+        (1, [], P24_FIRST_GAP_K1), (12, [], P24_FIRST_GAP_K12),
+        (1, ["--budget", "0"], P24_FIRST_GAP_K1)], ids=["k1", "k12", "k1-budget0"])
+    def test_first_gap_enumerates_nothing(self, tmp_path, capsys, k, budget, csv):
+        # E of (1/2^j, 1/3^j), j = 1..24, has 2^24 points, past any budget
+        # here; the report reads the predictions off the terms.
+        terms = [(Fraction(1, 2 ** j), Fraction(1, 3 ** j)) for j in range(1, 25)]
+        path = write(tmp_path, "p24.json", encode_series(series_spec(terms)))
+        argv = ["planar", "first-gap", "--series", path, "--k", str(k), "--format", "csv"]
+        assert run(argv + budget) == 0
+        assert capsys.readouterr() == (csv, "")
+
+    def test_example_check_counts_the_example_sums_against_the_budget(self, capsys):
+        assert run(["planar", "example", "--check", "--budget", "8"]) == 3
+        assert capsys.readouterr() == ("", "error: enumeration of size 2^4 exceeds budget 8\n")
 
 
 class TestCliPsum:

@@ -163,6 +163,21 @@ class TestRectGaps:
             rect_gaps(pset([("0", "0")]), mode="widest")
 
 
+def _oracle_items(terms, k):
+    """The first-gap-2d report items that the enumeration oracle's verdicts call for."""
+    items = []
+    for names, (applicable, ends, holds) in zip(
+            (("x-gap", "x-gap"), ("y-gap", "y-gap"), ("rect-gap", "rect gap")),
+            oracles.naive_first_gap_2d(terms, k)):
+        if applicable:
+            shown = " x ".join(f"({format_rat(lo)}, {format_rat(hi)})"
+                               for lo, hi in zip(ends[::2], ends[1::2]))
+            items.append((f"{names[1]} {shown}", holds, ""))
+        else:
+            items.append((f"{names[0]} prediction", True, "hypothesis not satisfied"))
+    return tuple(items)
+
+
 class TestFirstGapLemma2D:
     def test_golden_first_term(self):
         report = first_gap_lemma_2d(example_series(), 1)
@@ -188,13 +203,32 @@ class TestFirstGapLemma2D:
         with pytest.raises(DomainError):
             first_gap_lemma_2d(example_series(), 0)
 
+    def test_takes_no_budget(self):
+        # The report enumerates nothing, so there is no budget to pass.
+        with pytest.raises(TypeError):
+            first_gap_lemma_2d(example_series(), 1, budget=0)
+
     def test_random_predictions_are_confirmed(self):
-        r = random.Random(506)
-        for _ in range(30):
-            s = rand_series(r, max_terms=6, dim=2)
+        # The report never builds E; the oracle checks each prediction on all
+        # subset sums.  Small denominators give zero and tied coordinates, runs
+        # give repeated terms, and terms (x, x^2) order both axes alike, so
+        # A_x = A_y and the rectangle is often predicted.  One series in ten
+        # has up to 10 terms; the rest stay short, as the oracle enumerates E
+        # for every k.
+        r = random.Random(508)
+        cases = rects = 0
+        while cases < 2000:
+            count = 10 if r.random() < 0.1 else r.choice((3, 5, 7))
+            s = rand_series(r, max_terms=count, dim=2, max_den=r.choice((2, 4, 16)),
+                            with_runs=r.random() < 0.4)
+            if r.random() < 0.4:
+                s = series_spec([(x, x * x) for x, _ in s.terms])
             for k in range(1, s.count + 1):
-                report = first_gap_lemma_2d(s, k)
-                assert report.passed, report.failures()
+                want = _oracle_items(s.terms, k)
+                assert first_gap_lemma_2d(s, k).items == want, (s.terms, k)
+                rects += want[2][0].startswith("rect gap ")
+                cases += 1
+        assert rects >= 200
 
     def test_axis_items_are_the_line_lemma_on_each_coordinate(self):
         # The projection of E on an axis is that coordinate's achievement set,
