@@ -40,10 +40,8 @@ from .planar import (
 )
 from .psums import (
     DemoReport,
-    PSpec,
     cantor_pair_demo,
     gap_translation_check,
-    pspec,
     psum_set,
 )
 from .rational import Point, Rat, format_rat, parse_rat, point

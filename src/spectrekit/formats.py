@@ -16,7 +16,6 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, ParseError
 from .groups import SUP, DistValue, FiniteAbelian, Grid, GroupCtx, RationalSpace
-from .psums import PSpec, pspec
 from .rational import Rat, format_rat, format_scaled, parse_pair, shorten
 from .series import SeriesSpec, series_spec
 from .sets import FiniteSet
@@ -187,20 +186,26 @@ def decode_series(obj: Any) -> SeriesSpec:
         raise ParseError(str(exc)) from exc
 
 
-def encode_pspec(spec: PSpec) -> Dict[str, Any]:
+def encode_pspec(s: SeriesSpec) -> Dict[str, Any]:
     return {
-        "P": [format_rat(c) for c in spec.coeffs],
-        "terms": [format_rat(t) for t in spec.terms],
+        "P": [format_scaled(c, s.coeff_scale) for c in s.coeffs],
+        "terms": [format_scaled(t, s.scale) for (t,) in s.ints],
     }
 
 
-def decode_pspec(obj: Any) -> PSpec:
+def decode_pspec(obj: Any) -> SeriesSpec:
+    """The scalar series of a P-spec document: its menu, then its terms, checked."""
     doc = _require_mapping(obj, "P-spec document")
     coeffs_raw = _require_list(_get(doc, "P", "P-spec document"), "P")
     terms_raw = _require_list(_get(doc, "terms", "P-spec document"), "terms")
     coeffs = [_decode_rat(c, f"P[{i}]") for i, c in enumerate(coeffs_raw)]
     terms = [_decode_rat(t, f"terms[{i}]") for i, t in enumerate(terms_raw)]
-    return pspec(coeffs, terms)
+    s = series_spec(terms, coeffs=coeffs)
+    if not s.count:
+        raise DomainError("at least one term is required")
+    if not s.nonnegative:
+        raise DomainError("terms must be nonnegative")
+    return s
 
 
 # -- files --------------------------------------------------------------------

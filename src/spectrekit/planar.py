@@ -26,8 +26,8 @@ from .errors import DomainError
 from .groups import RationalSpace, to_grid
 from .rational import Point, Rat, format_scaled
 from .reports import CheckItem, LemmaReport
-from .series import (SeriesSpec, _check_k, _explains, _first_gap_axis, _subset_sums, _tail,
-                     achievement_set, series_spec)
+from .series import (SeriesSpec, _check_k, _explains, _first_gap_axis, _require_binary_menu,
+                     _subset_sums, _tail, achievement_set, series_spec)
 from .sets import FiniteSet
 
 RECT_GAP_MODES = ("all", "largest-by-area")
@@ -146,11 +146,12 @@ def first_gap_lemma_2d(s: SeriesSpec, k: int) -> LemmaReport:
     prediction whose hypothesis holds is therefore a gap, and the report is
     read off the terms without building E.
     """
+    _require_binary_menu(s)
     _check_k(s, k, 1)
     if s.dim != 2:
-        raise DomainError("planar enumeration needs two-dimensional terms")
+        raise DomainError("the planar first-gap lemma needs two-dimensional terms")
     if not s.nonnegative:
-        raise DomainError("achievement sets are defined for nonnegative terms")
+        raise DomainError("the planar first-gap lemma needs nonnegative terms")
     S = s.scale
     # The line's rule on each axis: E projects onto that axis's achievement set.
     (ax_idx, sum_x, xk), (ay_idx, sum_y, yk) = axes = [
@@ -174,8 +175,7 @@ def first_gap_lemma_2d(s: SeriesSpec, k: int) -> LemmaReport:
     return LemmaReport("first-gap-2d", tuple(items))
 
 
-def second_gap_lemma_2d(s: SeriesSpec, gap: RectGap,
-                        budget: Optional[int] = None) -> LemmaReport:
+def second_gap_lemma_2d(s: SeriesSpec, gap: RectGap, budget: Optional[int] = None) -> LemmaReport:
     """Decompose the corners of a rectangular gap of a planar achievement set.
 
     With k the last index whose term reaches the gap's width or height, the
@@ -183,6 +183,7 @@ def second_gap_lemma_2d(s: SeriesSpec, gap: RectGap,
     corner is an initial sum plus the full tail beyond k.  A rectangle that
     is not actually a gap fails the report.
     """
+    _require_binary_menu(s)
     E = achievement_set_2d(s, budget)  # on the series' grid
     S = s.scale
     items: List[CheckItem] = []
@@ -196,7 +197,7 @@ def second_gap_lemma_2d(s: SeriesSpec, gap: RectGap,
     # Some term reaches the gap size: otherwise (a, c) plus any term outside
     # its index set would be a third point of E in the rectangle.
     k = max(n for n, (x, y) in enumerate(s.ints, 1) if x >= b - a or y >= d - c)
-    F_k = _subset_sums(s, s.ints[:k], S, budget)
+    F_k = _subset_sums(s, s.ints[:k], budget)
     items.append(CheckItem(
         f"upper corner in F_{k}", F_k.contains_int((b, d), S),
         f"corner ({format_scaled(b, S)}, {format_scaled(d, S)})"))

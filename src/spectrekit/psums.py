@@ -1,57 +1,30 @@
-"""P-sum sets and translation structure around their gaps.
+"""Translation structure around the gaps of P-sum sets.
 
 A P-sum set collects the values sum of xi_n * a_n where each coefficient
-xi_n ranges over a fixed finite menu P containing 0; the achievement set is
-the case P = {0, 1}, and both come from the same grid enumerator.  For a gap
-(a, b) of such a set T, the translation predicate at radius eps asks whether
-shifting the initial segment T in [0, eps] by b reproduces T in [b, b + eps]
-exactly.  It holds exactly on [0, e*), where e* is the least defect of the
-gap, so the checker returns e* alone: the supremum of the working radii,
-not attained, and always positive since max(T) is a defect.
+xi_n ranges over a fixed finite menu P containing 0; it is the achievement
+set of the series ``series_spec(terms, coeffs=P)``, and P = {0, 1} gives
+the subset sums.  For a gap (a, b) of such a set T, the translation
+predicate at radius eps asks whether shifting the initial segment T in
+[0, eps] by b reproduces T in [b, b + eps] exactly.  It holds exactly on
+[0, e*), where e* is the least defect of the gap, so the checker returns e*
+alone: the supremum of the working radii, not attained, and always positive
+since max(T) is a defect.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import DomainError
 from .groups import RationalSpace, to_grid
 from .rational import Rat, RatLike, as_rat
-from .series import _subset_sums, achievement_set, series_spec
+from .series import achievement_set, series_spec
 from .sets import FiniteSet
 
-
-class PSpec(NamedTuple):
-    """Coefficient menu P (sorted, containing 0) and the term list."""
-
-    coeffs: Tuple[Rat, ...]
-    terms: Tuple[Rat, ...]
-
-
-def pspec(coeffs: Iterable[RatLike], terms: Iterable[RatLike]) -> PSpec:
-    cs = sorted({as_rat(c) for c in coeffs})
-    ts = tuple(as_rat(t) for t in terms)
-    if not cs:
-        raise DomainError("the coefficient menu must be nonempty")
-    if cs[0] != 0:
-        if any(c < 0 for c in cs):
-            raise DomainError("coefficients must be nonnegative")
-        raise DomainError("the coefficient menu must contain 0")
-    if not ts:
-        raise DomainError("at least one term is required")
-    if any(t < 0 for t in ts):
-        raise DomainError("terms must be nonnegative")
-    return PSpec(tuple(cs), ts)
-
-
-def psum_set(spec: PSpec, budget: Optional[int] = None) -> FiniteSet:
-    """T = {sum of xi_n a_n : xi_n in P}, as a one-dimensional set."""
-    # The terms and the nonzero coefficients, each on its own integer grid.
-    s, menu = series_spec(spec.terms), series_spec(spec.coeffs[1:])
-    return _subset_sums(s, s.ints, s.scale * menu.scale, budget,
-                        tuple(c for (c,) in menu.ints))
+# T = {sum of xi_n a_n : xi_n in P} for a series with menu P.
+psum_set = achievement_set
 
 
 def gap_translation_check(T: FiniteSet, gap: Tuple[RatLike, RatLike]) -> Rat:

@@ -8,7 +8,10 @@ the complement of E decomposes into maximal open intervals, the gaps; a gap
 is dominating when it is strictly longer than every gap to its left, and
 those gaps are pinned down exactly by a term and a tail sum.
 
-A series is stored on an integer grid, like a FiniteSet.  Each term is a
+A series is stored on an integer grid, like a FiniteSet, with a menu P of
+coefficients containing 0, by default {0, 1}; E is then the set of P-sums,
+sum of xi_n * a_n with each xi_n in P.  The gap rules and spectre laws are
+proved for P = {0, 1} and refuse any other menu.  There each term is a
 one-term sum, so E has the scale of a nonempty series, and the checkers
 compare terms, tails and gap ends with the integer points of E.
 """
@@ -16,13 +19,14 @@ compare terms, tails and gap ends with the integer points of E.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 from .errors import DomainError, check_budget_power
-from .groups import Frozen, Grid, IntPoint, RationalSpace
+from .groups import Frozen, Grid, IntPoint, RationalSpace, to_grid
 from .rational import Point, Rat, RatLike, as_rat, format_scaled, point
 from .reports import CheckItem, LemmaReport
 from .sets import FiniteSet, pack, spectre
@@ -35,6 +39,8 @@ class SeriesSpec(Frozen):
     Q^dim under the sup metric: ``ints[n]`` is term n times ``scale``, the
     lcm of the reduced term denominators (1 for no terms), so equal series
     have equal fields.  ``terms`` builds the ``Fraction`` tuples when asked.
+    ``coeffs`` is the menu P, ascending from 0, times ``coeff_scale``, the
+    lcm of its denominators; the default is P = {0, 1}.
 
     An empty term list is allowed (the zero series); its dimension is
     whatever the factory was told, defaulting to 1.
@@ -43,9 +49,12 @@ class SeriesSpec(Frozen):
     scale: int
     ints: Tuple[IntPoint, ...]
     ctx: RationalSpace
+    coeffs: Tuple[int, ...]
+    coeff_scale: int
 
-    def __init__(self, scale: int, ints: Tuple[IntPoint, ...], ctx: RationalSpace):
-        vars(self).update(scale=scale, ints=ints, ctx=ctx)
+    def __init__(self, scale: int, ints: Tuple[IntPoint, ...], ctx: RationalSpace,
+                 coeffs: Tuple[int, ...] = (0, 1), coeff_scale: int = 1):
+        vars(self).update(scale=scale, ints=ints, ctx=ctx, coeffs=coeffs, coeff_scale=coeff_scale)
 
     @cached_property
     def terms(self) -> Tuple[Point, ...]:
@@ -76,46 +85,60 @@ class SeriesSpec(Frozen):
         return all(a >= b for a, b in zip(self.ints, self.ints[1:]))
 
 
-def series_spec(terms: Iterable[TermLike], dim: Optional[int] = None) -> SeriesSpec:
+def series_spec(terms: Iterable[TermLike], dim: Optional[int] = None,
+                coeffs: Iterable[RatLike] = (0, 1)) -> SeriesSpec:
     """Normalize scalars or coordinate sequences into a SeriesSpec.
 
     ``dim`` fixes the dimension of an empty series (default 1); for a
-    nonempty series it must agree with the terms if given.
+    nonempty series it must agree with the terms if given.  ``coeffs`` is
+    the menu P: nonempty, nonnegative and containing 0.
     """
+    P = sorted({as_rat(c) for c in coeffs})
+    if not P:
+        raise DomainError("the coefficient menu must be nonempty")
+    if P[0] < 0:
+        raise DomainError("coefficients must be nonnegative")
+    if P[0] != 0:
+        raise DomainError("the coefficient menu must contain 0")
+    p_scale = math.lcm(*(c.denominator for c in P))
     pts = [point(*t) if isinstance(t, (tuple, list)) else (as_rat(t),) for t in terms]
-    if not pts:
-        return SeriesSpec(1, (), RationalSpace(1 if dim is None else dim))
-    dims = {len(p) for p in pts}
+    dims = {len(p) for p in pts} or {1 if dim is None else dim}
     if len(dims) != 1:
         raise DomainError(f"terms have mixed dimensions {sorted(dims)}")
-    if dim is not None and dim != len(pts[0]):
-        raise DomainError(f"terms have dimension {len(pts[0])}, not {dim}")
-    grid = Grid.of(RationalSpace(len(pts[0])), pts)
-    return SeriesSpec(grid.scale, tuple(map(grid.to_int, pts)), grid.ctx)
+    (d,) = dims
+    if dim is not None and dim != d:
+        raise DomainError(f"terms have dimension {d}, not {dim}")
+    grid = Grid.of(RationalSpace(d), pts)
+    return SeriesSpec(grid.scale, tuple(map(grid.to_int, pts)), grid.ctx,
+                      to_grid(P, p_scale), p_scale)
 
 
-def _subset_sums(s: SeriesSpec, terms: Sequence[IntPoint], scale: int,
-                 budget: Optional[int], menu: Tuple[int, ...] = (1,)) -> FiniteSet:
-    """All sums of c_n * t_n / scale over the grid terms t_n, a slice of
-    ``s.ints``, with each c_n 0 or from the integer ``menu``: subset sums for
-    the menu (1,), P-sums for P's nonzero coefficients on their own grid, run
-    on the sorted ints of ``sets.pack``.  The budget is checked on every call,
-    and the sums of all of s's terms are kept on s (not each F_k and E_k,
+def _subset_sums(s: SeriesSpec, terms: Sequence[IntPoint], budget: Optional[int]) -> FiniteSet:
+    """All sums of c_n * t_n over the grid terms t_n, a slice of ``s.ints``,
+    with each c_n from s's menu P, on the grid of scale s.scale * s.coeff_scale,
+    run on the sorted ints of ``sets.pack``.  The budget is checked on every
+    call, and the sums of all of s's terms are kept on s (not each F_k and E_k,
     which their callers build once each, so the peak memory stays low)."""
-    check_budget_power(len(menu) + 1, len(terms), budget)
-    key = (tuple(terms), scale, menu)
+    check_budget_power(len(s.coeffs), len(terms), budget)
+    key = tuple(terms)
     if key in s._sums:
         return s._sums[key]
-    reach = max(menu, default=0) * sum(max(map(abs, t)) for t in terms)  # bounds a sum
+    reach = s.coeffs[-1] * sum(max(map(abs, t)) for t in terms)  # bounds a sum
     xs, unpack, _, _ = pack([(0,) * s.dim, *terms], None, reach)  # xs[0] is 0
     sums = {0}
     for t in xs[1:]:
-        steps = [c * t for c in menu]
+        steps = [c * t for c in s.coeffs[1:]]
         sums |= {v + d for d in steps for v in sums}
-    E = Grid(s.ctx, scale).to_set(unpack(sorted(sums)))
+    E = Grid(s.ctx, s.scale * s.coeff_scale).to_set(unpack(sorted(sums)))
     if len(terms) == s.count:
         s._sums[key] = E
     return E
+
+
+def _require_binary_menu(s: SeriesSpec) -> None:
+    """Raise a DomainError unless s's menu is P = {0, 1}."""
+    if (s.coeffs, s.coeff_scale) != ((0, 1), 1):
+        raise DomainError("this rule is proved only for the coefficient menu P = {0, 1}")
 
 
 def _check_k(s: SeriesSpec, k: int, least: int = 0) -> None:
@@ -134,18 +157,16 @@ def _explains(s: SeriesSpec) -> Dict[Tuple[IntPoint, IntPoint], int]:
     return {(s.ints[m - 1], _tail(s, m)): m for m in range(s.count, 0, -1)}
 
 
-def initial_subsums(s: SeriesSpec, k: int,
-                    budget: Optional[int] = None) -> FiniteSet:
-    """F_k: sums over subsets of the first k terms.  F_0 = {0}."""
+def initial_subsums(s: SeriesSpec, k: int, budget: Optional[int] = None) -> FiniteSet:
+    """F_k: the P-sums of the first k terms (subset sums for P = {0, 1}).  F_0 = {0}."""
     _check_k(s, k)
-    return _subset_sums(s, s.ints[:k], s.scale, budget)
+    return _subset_sums(s, s.ints[:k], budget)
 
 
-def remainder_subsums(s: SeriesSpec, k: int,
-                      budget: Optional[int] = None) -> FiniteSet:
-    """E_k: sums over subsets of the terms after position k.  E_N = {0}."""
+def remainder_subsums(s: SeriesSpec, k: int, budget: Optional[int] = None) -> FiniteSet:
+    """E_k: the P-sums of the terms after position k.  E_N = {0}."""
     _check_k(s, k)
-    return _subset_sums(s, s.ints[k:], s.scale, budget)
+    return _subset_sums(s, s.ints[k:], budget)
 
 
 def remainder_sum(s: SeriesSpec, k: int) -> Rat:
@@ -157,10 +178,10 @@ def remainder_sum(s: SeriesSpec, k: int) -> Rat:
 
 
 def achievement_set(s: SeriesSpec, budget: Optional[int] = None) -> FiniteSet:
-    """E: all subset sums of a nonnegative series."""
+    """E: all P-sums of a nonnegative series, its subset sums for P = {0, 1}."""
     if not s.nonnegative:
         raise DomainError("achievement sets are defined for nonnegative terms")
-    return _subset_sums(s, s.ints, s.scale, budget)
+    return _subset_sums(s, s.ints, budget)
 
 
 # -- one-dimensional gaps -----------------------------------------------------
@@ -204,8 +225,7 @@ def find_gaps(E: FiniteSet) -> List[Gap1D]:
             for lo, hi, (_, _, dominating) in zip(values, values[1:], _int_gaps(xs))]
 
 
-def first_gap_check_1d(s: SeriesSpec, k: int,
-                       budget: Optional[int] = None) -> Optional[Gap1D]:
+def first_gap_check_1d(s: SeriesSpec, k: int, budget: Optional[int] = None) -> Optional[Gap1D]:
     """Gap prediction from a single term of a nonnegative scalar series.
 
     Let A collect the indices with terms strictly below a_k.  When a_k
@@ -213,6 +233,7 @@ def first_gap_check_1d(s: SeriesSpec, k: int,
     achievement set; the function returns that gap as the detector reports
     it, or None when the hypothesis fails, building only the 2^|A| sums over A.
     """
+    _require_binary_menu(s)
     if s.dim != 1:
         raise DomainError("this gap prediction applies to scalar series")
     _check_k(s, k, 1)
@@ -222,7 +243,7 @@ def first_gap_check_1d(s: SeriesSpec, k: int,
     if a_k <= below:
         return None
     # A sum below a_k uses only A's terms, so E up to a_k is A's sums (at most below) and a_k.
-    sums = Grid(s.ctx, s.scale).ints(_subset_sums(s, [s.ints[n] for n in idx], s.scale, budget))
+    sums = Grid(s.ctx, s.scale).ints(_subset_sums(s, [s.ints[n] for n in idx], budget))
     *_, (_, _, dominating) = _int_gaps([x for (x,) in sums] + [a_k])
     return Gap1D(Fraction(below, s.scale), Fraction(a_k, s.scale), dominating)
 
@@ -231,6 +252,7 @@ def third_gap_check(s: SeriesSpec, budget: Optional[int] = None) -> LemmaReport:
     """Verify that every dominating gap (alpha, beta) of the achievement set
     is explained by an index m with a_m = beta and tail sum r_m = alpha.
     Requires nonnegative, nonincreasing scalar terms."""
+    _require_binary_menu(s)
     if s.dim != 1 or not s.nonnegative or not s.nonincreasing:
         raise DomainError("nonnegative nonincreasing scalar terms required")
     E = achievement_set(s, budget)  # on the series' grid
@@ -255,8 +277,7 @@ def third_gap_check(s: SeriesSpec, budget: Optional[int] = None) -> LemmaReport:
 
 # -- spectre behaviour of achievement sets ------------------------------------
 
-def series_spectre_checks(s: SeriesSpec,
-                          budget: Optional[int] = None) -> LemmaReport:
+def series_spectre_checks(s: SeriesSpec, budget: Optional[int] = None) -> LemmaReport:
     """Verify the spectre-membership laws of achievement sets.
 
     Every term lies in the spectre of E; a run of 2j-1 equal consecutive
@@ -264,11 +285,12 @@ def series_spectre_checks(s: SeriesSpec,
     term magnitude lies in the center of distances; and the spectres of the
     initial and remainder sums form monotone chains inside S(E).
     """
+    _require_binary_menu(s)
     ctx, S, N = s.ctx, s.scale, s.count
     grid = Grid(ctx, S)  # S(F) lies in F - F, so every spectre here is on this grid
 
     def spectre_of(terms: Sequence[IntPoint]) -> FrozenSet[IntPoint]:
-        return frozenset(grid.ints(spectre(_subset_sums(s, terms, S, budget))))
+        return frozenset(grid.ints(spectre(_subset_sums(s, terms, budget))))
 
     member = spectre_of(s.ints)  # S(E)
     items: List[CheckItem] = []

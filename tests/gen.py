@@ -13,11 +13,9 @@ from typing import List, Optional, Tuple
 from spectrekit import (
     FiniteAbelian,
     FiniteSet,
-    PSpec,
     RationalSpace,
     SeriesSpec,
     finite_set,
-    pspec,
     series_spec,
 )
 
@@ -143,10 +141,17 @@ def rand_noninc_series(r: random.Random, max_terms: int = 16,
 
 
 def rand_pspec(r: random.Random, max_coeffs: int = 3,
-               max_terms: int = 5) -> PSpec:
+               max_terms: int = 5) -> SeriesSpec:
+    """A random P-series: positive scalar terms and a menu P of two to
+    ``max_coeffs`` nonnegative coefficients, 0 among them."""
     coeffs = {Fraction(0)}
     while len(coeffs) < r.randint(2, max_coeffs):
         coeffs.add(Fraction(r.randint(1, 8), r.randint(1, 4)))
     terms = [Fraction(r.randint(1, 8), r.randint(1, 8))
              for _ in range(r.randint(1, max_terms))]
-    return pspec(sorted(coeffs), terms)
+    return series_spec(terms, coeffs=coeffs)
+
+
+def menu(s: SeriesSpec) -> List[Fraction]:
+    """The coefficient menu P of a series, read back off its grid."""
+    return [Fraction(c, s.coeff_scale) for c in s.coeffs]

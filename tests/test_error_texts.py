@@ -11,6 +11,7 @@ from spectrekit import (
     FiniteAbelian,
     GroupMismatchError,
     RationalSpace,
+    RectGap,
     achievement_set_2d,
     finite_set,
     fatten_contains,
@@ -22,16 +23,21 @@ from spectrekit import (
     perturbation_family,
     point,
     probe_spectre_continuity,
-    pspec,
     remainder_sum,
+    second_gap_lemma_2d,
     series_spec,
+    series_spectre_checks,
+    third_gap_check,
 )
 from spectrekit.cli import main
 from spectrekit.errors import ParseError
-from spectrekit.formats import decode_series, decode_set
+from spectrekit.formats import decode_pspec, decode_series, decode_set
 
 LINE = finite_set(RationalSpace(1), [point(0), point(1)])
 PLANAR = series_spec([("1/2", "1/3"), ("1/4", "1/9")])
+P_LINE = series_spec(["1/2", "1/4"], coeffs=[0, 1, 2])
+P_PLANAR = series_spec([("1/2", "1/3"), ("1/4", "1/9")], coeffs=[0, 1, 2])
+MENU_TEXT = "this rule is proved only for the coefficient menu P = {0, 1}"
 Q1_GROUP = {"type": "Qd", "dim": 1}
 PLANE = finite_set(RationalSpace(2), [point(0, 0)])
 Z5 = finite_set(FiniteAbelian((5,)), [point(0), point(2)])
@@ -40,12 +46,27 @@ Z5_NAME = "FiniteAbelian(moduli=(5,))"
 
 # (call, error class, exact text); argparse errors exit 2 with the text on stderr.
 ERRORS = {
-    "pspec-empty-menu": (lambda: pspec([], ["1"]), DomainError,
+    # series_spec checks the menu P; decode_pspec then requires the terms to be
+    # present and nonnegative.
+    "pspec-empty-menu": (lambda: series_spec(["1"], coeffs=[]), DomainError,
                          "the coefficient menu must be nonempty"),
-    "pspec-no-terms": (lambda: pspec(["0", "1"], []), DomainError,
+    "pspec-negative-coefficient": (lambda: series_spec(["1"], coeffs=["1", "-1"]), DomainError,
+                                   "coefficients must be nonnegative"),
+    "pspec-menu-without-zero": (lambda: series_spec(["1"], coeffs=["1", "2"]), DomainError,
+                                "the coefficient menu must contain 0"),
+    "pspec-no-terms": (lambda: decode_pspec({"P": ["0", "1"], "terms": []}), DomainError,
                        "at least one term is required"),
-    "pspec-negative-term": (lambda: pspec(["0", "1"], ["1", "-1/2"]), DomainError,
-                            "terms must be nonnegative"),
+    "pspec-negative-term": (lambda: decode_pspec({"P": ["0", "1"], "terms": ["1", "-1/2"]}),
+                            DomainError, "terms must be nonnegative"),
+    "pspec-menu-before-terms": (lambda: decode_pspec({"P": ["1"], "terms": []}), DomainError,
+                                "the coefficient menu must contain 0"),
+    # The rules proved only for P = {0, 1} check the menu before anything else.
+    "first-gap-menu": (lambda: first_gap_check_1d(P_LINE, 1), DomainError, MENU_TEXT),
+    "third-gap-menu": (lambda: third_gap_check(P_LINE), DomainError, MENU_TEXT),
+    "series-spectre-menu": (lambda: series_spectre_checks(P_LINE), DomainError, MENU_TEXT),
+    "planar-first-gap-menu": (lambda: first_gap_lemma_2d(P_PLANAR, 0), DomainError, MENU_TEXT),
+    "planar-second-gap-menu": (lambda: second_gap_lemma_2d(P_PLANAR, RectGap(0, 1, 0, 1)),
+                               DomainError, MENU_TEXT),
     "gap-translation-planar": (
         lambda: gap_translation_check(finite_set(RationalSpace(2), [point(0, 0)]), (0, 1)),
         DomainError, "a one-dimensional rational set is required"),
@@ -63,14 +84,14 @@ ERRORS = {
     # The sign is checked before the budget.
     "planar-negative": (lambda: achievement_set_2d(series_spec([("1/2", "-1/3")]), budget=0),
                         DomainError, "achievement sets are defined for nonnegative terms"),
-    # first_gap_lemma_2d checks k, then the dimension, then the sign.
+    # first_gap_lemma_2d checks the menu, k, then the dimension, then the sign.
     "planar-first-gap-1d": (lambda: first_gap_lemma_2d(series_spec(["1/2", "1/4"]), 1),
-                            DomainError, "planar enumeration needs two-dimensional terms"),
+                            DomainError, "the planar first-gap lemma needs two-dimensional terms"),
     "planar-first-gap-3d": (lambda: first_gap_lemma_2d(series_spec([("1", "1", "1")]), 1),
-                            DomainError, "planar enumeration needs two-dimensional terms"),
+                            DomainError, "the planar first-gap lemma needs two-dimensional terms"),
     "planar-first-gap-negative": (
         lambda: first_gap_lemma_2d(series_spec([("1/2", "-1/3"), ("1/4", "1/9")]), 1),
-        DomainError, "achievement sets are defined for nonnegative terms"),
+        DomainError, "the planar first-gap lemma needs nonnegative terms"),
     "planar-first-gap-negative-k0": (
         lambda: first_gap_lemma_2d(series_spec([("1/2", "-1/3"), ("1/4", "1/9")]), 0),
         DomainError, "k must lie in [1, 2], got 0"),

@@ -24,7 +24,6 @@ from spectrekit import (
     SetVerdict,
     finite_set,
     point,
-    pspec,
     series_spec,
 )
 from spectrekit.cli import COMMANDS, build_parser, run
@@ -165,8 +164,9 @@ class TestCodecs:
             assert decode_series(encode_series(s)) == s
 
     def test_pspec_round_trip(self):
-        spec = pspec(["0", "1", "3/2"], ["1/4", "1/16"])
+        spec = series_spec(["1/4", "1/16"], coeffs=["0", "1", "3/2"])
         assert decode_pspec(encode_pspec(spec)) == spec
+        assert encode_pspec(spec) == {"P": ["0", "1", "3/2"], "terms": ["1/4", "1/16"]}
 
     def test_duplicate_points_are_position_tagged(self):
         doc = {"group": {"type": "Qd", "dim": 1, "metric": "sup"},
@@ -590,24 +590,24 @@ class TestCliPlanar:
 
 class TestCliPsum:
     def test_enumerate(self, tmp_path, capsys):
-        path = write(tmp_path, "p.json", encode_pspec(pspec(["0", "1", "2"], ["1/4", "1/16"])))
+        path = write(tmp_path, "p.json", encode_pspec(series_spec(["1/4", "1/16"], coeffs=["0", "1", "2"])))
         assert run(["psum", "enumerate", "--pspec", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["points"]) == 9
 
     def test_gap_translate(self, tmp_path, capsys):
-        path = write(tmp_path, "p.json", encode_pspec(pspec(["0", "1"], ["1/2", "1/4"])))
+        path = write(tmp_path, "p.json", encode_pspec(series_spec(["1/2", "1/4"])))
         code = run(["psum", "gap-translate", "--gap", "1/4,1/2", "--pspec", path])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out == {"ok": True, "epsilon": "1/2"}
 
     def test_gap_translate_rejects_non_gaps(self, tmp_path, capsys):
-        path = write(tmp_path, "p.json", encode_pspec(pspec(["0", "1"], ["1/2", "1/4"])))
+        path = write(tmp_path, "p.json", encode_pspec(series_spec(["1/2", "1/4"])))
         assert run(["psum", "gap-translate", "--gap", "1/8,1/4", "--pspec", path]) == 2
 
     def test_negative_gap_value_needs_the_equals_form(self, tmp_path, capsys):
-        path = write(tmp_path, "p.json", encode_pspec(pspec(["0", "1"], ["1/2", "1/4"])))
+        path = write(tmp_path, "p.json", encode_pspec(series_spec(["1/2", "1/4"])))
         assert run(["psum", "gap-translate", "--gap=-1,0", "--pspec", path]) == 2
         assert "is not a gap of the set" in capsys.readouterr().err
 

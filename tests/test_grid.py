@@ -31,7 +31,6 @@ from spectrekit import (
     initial_subsums,
     minkowski_sum,
     negate,
-    pspec,
     psum_set,
     rect_gaps,
     series_spec,
@@ -129,7 +128,8 @@ def test_subset_sums_match_oracle(terms, menu):
     if s.dim == 1:
         ts = [abs(t) for (t,) in terms]  # P-sums take nonnegative terms
         P = sorted({Fraction(0), *menu})
-        assert [x for (x,) in psum_set(pspec(P, ts)).elements] == oracles.naive_psum(P, ts)
+        assert [x for (x,) in psum_set(series_spec(ts, coeffs=P)).elements] == \
+            oracles.naive_psum(P, ts)
 
 
 @given(ctx_with_sets(1))

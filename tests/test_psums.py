@@ -18,12 +18,14 @@ from spectrekit import (
     finite_set,
     gap_translation_check,
     initial_subsums,
-    pspec,
+    minkowski_sum,
     psum_set,
+    remainder_subsums,
     series_spec,
 )
 from spectrekit.errors import check_budget, check_budget_power
-from gen import rand_pspec
+from spectrekit.formats import decode_pspec, encode_pspec
+from gen import menu, rand_pspec
 from spectrekit.psums import demo_level_set
 
 
@@ -39,77 +41,97 @@ def assert_supremum(values, b, eps):
 
 
 class TestPSpec:
+    # A P-spec is a scalar series built with its menu: series_spec(terms, coeffs=P).
     def test_normalizes_and_sorts(self):
-        spec = pspec(["1", "0", "1"], ["1/2", "1/4"])
-        assert spec.coeffs == (0, 1)
-        assert spec.terms == (Fraction(1, 2), Fraction(1, 4))
+        spec = series_spec(["1/2", "1/4"], coeffs=["1", "0", "1"])
+        assert (spec.coeffs, spec.coeff_scale) == ((0, 1), 1)
+        assert spec.terms == ((Fraction(1, 2),), (Fraction(1, 4),))
+        assert spec == series_spec(["1/2", "1/4"])
+        halves = series_spec(["1/2"], coeffs=["3/2", "0", "1/2"])
+        assert (halves.coeffs, halves.coeff_scale) == ((0, 1, 3), 2)
+        assert menu(halves) == [0, Fraction(1, 2), Fraction(3, 2)]
 
     def test_requires_zero_coefficient(self):
         with pytest.raises(DomainError):
-            pspec(["1", "2"], ["1/2"])
+            series_spec(["1/2"], coeffs=["1", "2"])
 
     def test_rejects_negative_coefficients(self):
         with pytest.raises(DomainError):
-            pspec(["0", "-1"], ["1/2"])
+            series_spec(["1/2"], coeffs=["0", "-1"])
 
 
 class TestPsumSet:
     def test_binary_coefficients_give_subset_sums(self):
-        spec = pspec(["0", "1"], ["1/2", "1/4"])
+        spec = series_spec(["1/2", "1/4"], coeffs=["0", "1"])
         assert scalars(psum_set(spec)) == \
             [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
 
     def test_ternary_example(self):
-        spec = pspec(["0", "1", "2"], ["1/4", "1/16"])
+        spec = series_spec(["1/4", "1/16"], coeffs=["0", "1", "2"])
         want = [0, Fraction(1, 16), Fraction(1, 8), Fraction(1, 4),
                 Fraction(5, 16), Fraction(3, 8), Fraction(1, 2),
                 Fraction(9, 16), Fraction(5, 8)]
         assert scalars(psum_set(spec)) == want
 
     def test_zero_only_coefficients(self):
-        assert scalars(psum_set(pspec(["0"], ["1/2", "7"]))) == [0]
+        assert scalars(psum_set(series_spec(["1/2", "7"], coeffs=["0"]))) == [0]
 
     def test_matches_naive_product_scan(self):
         r = random.Random(601)
         for _ in range(60):
             spec = rand_pspec(r)
             assert scalars(psum_set(spec)) == \
-                oracles.naive_psum(spec.coeffs, spec.terms)
+                oracles.naive_psum(menu(spec), [t for (t,) in spec.terms])
 
     def test_binary_coefficients_match_achievement_set(self):
         r = random.Random(602)
         for _ in range(40):
             terms = [Fraction(r.randint(0, 8), r.randint(1, 8))
                      for _ in range(r.randint(1, 8))]
-            spec = pspec(["0", "1"], terms)
+            spec = series_spec(terms, coeffs=["0", "1"])
             assert psum_set(spec) == achievement_set(series_spec(terms))
 
     def test_menu_is_part_of_the_cache_key(self):
-        # Both calls go through one enumerator on the same terms; each keeps
-        # its sums on its own series under a key that holds the menu, so
-        # neither can hand back the other's.
+        # Both calls go through one enumerator on the same terms.  Each keeps
+        # its sums on its own series, and the menu is a field of the series,
+        # so neither can hand back the other's.
         terms = [Fraction(1, 3), Fraction(1, 9), Fraction(1, 2)]
-        E = achievement_set(series_spec(terms))
-        T = psum_set(pspec(["0", "1", "2"], terms))
+        s, p = series_spec(terms), series_spec(terms, coeffs=[0, 1, 2])
+        assert s != p and s.ints == p.ints
+        E, T = achievement_set(s), psum_set(p)
         assert E.elements == tuple(oracles.naive_subset_sums([(t,) for t in terms]))
         assert scalars(T) == oracles.naive_psum([0, 1, 2], terms)
+        assert achievement_set(s) is E and psum_set(p) is T
+
+    def test_random_p_series_split_scan_and_round_trip(self):
+        # On a P-series the series tools see the P-sums: E = F_k + E_k at
+        # every k, E is the product scan, and the P-spec document keeps it.
+        r = random.Random(606)
+        for _ in range(40):
+            s = rand_pspec(r)
+            E = achievement_set(s)
+            assert scalars(E) == oracles.naive_psum(menu(s), [t for (t,) in s.terms])
+            for k in range(s.count + 1):
+                assert minkowski_sum(initial_subsums(s, k), remainder_subsums(s, k)) == E
+            assert decode_pspec(encode_pspec(s)) == s
 
     def test_budget_guard(self):
-        spec = pspec(["0", "1", "2"], ["1"] * 10)
+        spec = series_spec(["1"] * 10, coeffs=["0", "1", "2"])
         with pytest.raises(BudgetExceededError):
             psum_set(spec, budget=100)
 
     def test_budget_guard_on_a_huge_exponent(self):
         # 3^10000 has more digits than Python will format in a message.
         with pytest.raises(BudgetExceededError, match=r"3\^10000"):
-            psum_set(pspec(["0", "1", "2"], ["1"] * 10000))
+            psum_set(series_spec(["1"] * 10000, coeffs=["0", "1", "2"]))
 
     def test_a_tight_budget_raises_once_the_sums_are_cached(self):
         # Each call fills its series' memo; the same call under budget 1 must
         # still raise, with the P-sum base |P| and the subset-sum base 2.
         terms = ["1/3", "1/9", "1/27", "1/81"]
         s = series_spec(terms)
-        calls = [(lambda b: psum_set(pspec(["0", "1", "2"], terms), budget=b), "3^4"),
+        p = series_spec(terms, coeffs=["0", "1", "2"])
+        calls = [(lambda b: psum_set(p, budget=b), "3^4"),
                  (lambda b: achievement_set(s, budget=b), "2^4"),
                  (lambda b: initial_subsums(s, 3, budget=b), "2^3")]
         for call, size in calls:
@@ -137,17 +159,17 @@ class TestPsumSet:
 
 class TestGapTranslation:
     def test_quarter_grid_gap(self):
-        T = psum_set(pspec(["0", "1"], ["1/2", "1/4"]))
+        T = psum_set(series_spec(["1/2", "1/4"]))
         assert gap_translation_check(T, (Fraction(1, 4), Fraction(1, 2))) == Fraction(1, 2)
 
     def test_two_point_set_has_a_small_witness(self):
-        T = psum_set(pspec(["0", "1"], ["1"]))
+        T = psum_set(series_spec(["1"]))
         epsilon = gap_translation_check(T, (0, 1))
         assert epsilon == 1
         assert_supremum(scalars(T), Fraction(1), epsilon)
 
     def test_eighth_grid_every_gap(self):
-        T = psum_set(pspec(["0", "1"], ["1/2", "1/4", "1/8"]))
+        T = psum_set(series_spec(["1/2", "1/4", "1/8"]))
         for k in range(7):
             gap = (Fraction(k, 8), Fraction(k + 1, 8))
             assert gap_translation_check(T, gap) > 0
@@ -162,7 +184,7 @@ class TestGapTranslation:
                 assert_supremum(values, beta, gap_translation_check(T, (alpha, beta)))
 
     def test_rejects_intervals_that_are_not_gaps(self):
-        T = psum_set(pspec(["0", "1"], ["1/2", "1/4"]))
+        T = psum_set(series_spec(["1/2", "1/4"]))
         with pytest.raises(DomainError):
             gap_translation_check(T, (Fraction(1, 8), Fraction(1, 4)))
         with pytest.raises(DomainError):
@@ -190,7 +212,7 @@ class TestGapTranslation:
                     gap_translation_check(T, ends)
 
     def test_requires_zero_minimum(self):
-        T = psum_set(pspec(["0", "1"], ["1/2"]))
+        T = psum_set(series_spec(["1/2"]))
         shifted = type(T)(T.ctx, tuple((p[0] + 1,) for p in T.elements))
         with pytest.raises(DomainError):
             gap_translation_check(shifted, (Fraction(3, 2), 2))

@@ -32,7 +32,7 @@ from spectrekit import (
 from gen import rand_noninc_series, rand_series
 from spectrekit.cli import run
 from spectrekit.formats import dumps, encode_series
-from spectrekit.series import _subset_sums, series_spectre_checks, third_gap_check
+from spectrekit.series import series_spectre_checks, third_gap_check
 
 GEO = series_spec(["1", "1/4", "1/16"])
 
@@ -137,9 +137,10 @@ class TestSubsums:
         # The kept E must not stand in for the sums of a slice of the terms.
         assert initial_subsums(s, 1).elements == tuple(oracles.naive_subset_sums(s.terms[:1]))
         assert remainder_subsums(s, 1).elements == tuple(oracles.naive_subset_sums(s.terms[1:]))
-        # Nor for the P-sums of the same terms.
-        T = _subset_sums(s, s.ints, s.scale, None, (1, 2))
+        # Nor for the P-sums of the same terms, which are kept on their own series.
+        T = achievement_set(series_spec(terms, coeffs=[0, 1, 2]))
         assert [x for (x,) in T.elements] == oracles.naive_psum([0, 1, 2], [x for (x,) in s.terms])
+        assert list(s._sums) == [s.ints]
         gone = weakref.ref(E)
         del s, E
         gc.collect()
@@ -382,7 +383,7 @@ class TestSeriesSpectreChecks:
         assert series_spectre_checks(s).passed
         assert len(calls) == 2 * n + 1
         # Only E is kept on the series, not one set per slice.
-        assert list(s._sums) == [(s.ints, s.scale, (1,))]
+        assert list(s._sums) == [s.ints]
 
     def test_random_planar_series_pass(self):
         r = random.Random(409)

@@ -20,7 +20,6 @@ from spectrekit import (
     LemmaReport,
     PairWitness,
     ProbeReport,
-    PSpec,
     RationalSpace,
     RectGap,
     RefuteResult,
@@ -55,8 +54,9 @@ VALUE_TYPES = [
      "DistValue(value=Fraction(1, 2), squared=True)", (F(1, 2), False)),
     (FiniteSet, {"ctx": Q1, "points": [point("1/2"), point(0), point("1/2")]},
      SET_REPR, (Q1, [point(0), point(1)])),
-    (SeriesSpec, {"scale": 2, "ints": ((1,),), "ctx": Q1},
-     f"SeriesSpec(scale=2, ints=((1,),), ctx={Q1_REPR})", (1, ((1,),), Q1)),
+    (SeriesSpec, {"scale": 2, "ints": ((1,),), "ctx": Q1, "coeffs": (0, 1, 3), "coeff_scale": 2},
+     f"SeriesSpec(scale=2, ints=((1,),), ctx={Q1_REPR}, coeffs=(0, 1, 3), coeff_scale=2)",
+     (2, ((1,),), Q1)),
 ]
 RECORDS = [
     (ProbeRow, {"index": 1, "input_distance": HALF, "spectre_distance": HALF, "usc_ok": True},
@@ -73,9 +73,6 @@ RECORDS = [
      (F(0), F(1), F(1, 2), F(3))),
     (AxisGap, {"axis": "x", "lo": F(0), "hi": F(1, 2)},
      "AxisGap(axis='x', lo=Fraction(0, 1), hi=Fraction(1, 2))", ("y", F(0), F(1, 2))),
-    (PSpec, {"coeffs": (F(0), F(1)), "terms": (F(1, 2),)},
-     "PSpec(coeffs=(Fraction(0, 1), Fraction(1, 1)), terms=(Fraction(1, 2),))",
-     ((F(0), F(1)), (F(1, 3),))),
     (DemoReport, {"rows": ((1, F(1, 4)),), "strictly_decreasing": True, "note": "n"},
      "DemoReport(rows=((1, Fraction(1, 4)),), strictly_decreasing=True, note='n')",
      (((1, F(1, 4)),), False, "n")),
@@ -100,6 +97,8 @@ DEFAULTS = [
     (lambda: CheckItem("l", False), lambda: CheckItem("l", False, detail="")),
     (lambda: LemmaReport("n", ()), lambda: LemmaReport("n", (), note="")),
     (lambda: SetVerdict(True), lambda: SetVerdict(True, witness=None, reason="")),
+    (lambda: SeriesSpec(2, ((1,),), Q1),
+     lambda: SeriesSpec(2, ((1,),), Q1, coeffs=(0, 1), coeff_scale=1)),
 ]
 
 
