@@ -15,7 +15,6 @@ from .groups import (
     GroupCtx,
     RationalSpace,
     dist,
-    subgroup_generated,
     zero,
 )
 from .hyperspace import (
@@ -23,7 +22,6 @@ from .hyperspace import (
     RefuteResult,
     fatten_contains,
     hausdorff,
-    perturbation_family,
     probe_spectre_continuity,
     refute_spectre_image,
 )
@@ -54,7 +52,6 @@ from .series import (
     first_gap_check_1d,
     initial_subsums,
     remainder_subsums,
-    remainder_sum,
     series_spec,
     series_spectre_checks,
     third_gap_check,
@@ -65,16 +62,13 @@ from .sets import (
     SetVerdict,
     center_of_distances,
     densify_to_netset,
-    difference_set,
     distance_set,
     finite_set,
     is_net_set,
     is_non_sliding,
-    min_positive_distance,
     minkowski_sum,
     negate,
     spectre,
-    spectre_inflate,
     translate,
 )
 

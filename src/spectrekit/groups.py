@@ -192,17 +192,6 @@ def triangle_holds(ab: DistValue, bc: DistValue, ac: DistValue) -> bool:
     return gap * gap <= 4 * ab.value * bc.value
 
 
-def subgroup_generated(ctx: FiniteAbelian, x: Point):
-    """The cyclic subgroup <x> of a finite Abelian group, as a FiniteSet: the
-    multiples k*x mod m for k below the order of x, lcm(m_i / gcd(x_i, m_i))."""
-    if not isinstance(ctx, FiniteAbelian):
-        raise DomainError("subgroup enumeration needs a finite Abelian context")
-    grid = Grid(ctx, 1)
-    x = grid.to_int(validate_point(ctx, x))
-    order = math.lcm(*(m // math.gcd(c, m) for c, m in zip(x, ctx.moduli)))
-    return grid.to_set(tuple(k * c % m for c, m in zip(x, ctx.moduli)) for k in range(order))
-
-
 # -- the integer grid ---------------------------------------------------------
 
 _INT_METRICS = {
@@ -290,8 +279,12 @@ class Grid:
         return to_grid(p, self.scale)
 
     def ints(self, A: "FiniteSet") -> Sequence[IntPoint]:
-        """The points of the FiniteSet ``A`` on this grid, in A's order."""
-        k = self.scale // A.scale
+        """The points of the FiniteSet ``A`` on this grid, in A's order.  A
+        DomainError when the grid's scale is not a multiple of A's, so that
+        some of A's points lie off the grid."""
+        k, off = divmod(self.scale, A.scale)
+        if off:
+            raise DomainError(f"a grid of scale {self.scale} cannot hold a set of scale {A.scale}")
         return A.ints if k == 1 else [tuple(c * k for c in p) for p in A.ints]
 
     def dist_value(self, raw: int) -> DistValue:

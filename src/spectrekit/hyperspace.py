@@ -18,7 +18,7 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, inf
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, check_budget_power
 from .groups import (
@@ -27,10 +27,9 @@ from .groups import (
     FiniteAbelian,
     Grid,
     IntPoint,
-    RationalSpace,
 )
 from .rational import Rat
-from .sets import FiniteSet, line_spectre, min_positive_distance, pack, spectre
+from .sets import FiniteSet, line_spectre, pack, spectre
 
 
 def _directed(grid: Grid, ps: Sequence[IntPoint], qs: Sequence[IntPoint]) -> int:
@@ -155,28 +154,6 @@ def probe_spectre_continuity(A: FiniteSet, family: Sequence[FiniteSet],
         tail_bound=tail_bound,
         usc_tail_ok=all(r.usc_ok for r in tail),
     )
-
-
-def perturbation_family(A: FiniteSet, count: int = 8) -> List[FiniteSet]:
-    """A standard convergent family: move the lexicographically largest point
-    of A along the first axis by base/2^n for n = 1..count, where base is a
-    quarter of the smallest positive distance in A (or 1/4 for singletons).
-    The offsets are small enough that the n-th member is at Hausdorff
-    distance exactly base/2^n from A."""
-    if not isinstance(A.ctx, RationalSpace):
-        raise DomainError("perturbation families need a rational-space context")
-    if count < 2:
-        raise DomainError("need at least two family members")
-    eta = min_positive_distance(A)
-    base = Fraction(1, 4) if eta is None else min(Fraction(1), eta.value) / 4
-    # base/2^n is 2^(count-n) times the last offset, so one grid holds all.
-    last = (base / (1 << count),)
-    grid = Grid.of(A.ctx, A, [last])
-    unit = grid.to_int(last)[0]
-    pts = grid.ints(A)
-    moved, rest = pts[-1], pts[:-1]
-    return [grid.to_set([*rest, (moved[0] + (unit << (count - n)),) + moved[1:]])
-            for n in range(1, count + 1)]
 
 
 # -- image refutation ---------------------------------------------------------

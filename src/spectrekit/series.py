@@ -169,14 +169,6 @@ def remainder_subsums(s: SeriesSpec, k: int, budget: Optional[int] = None) -> Fi
     return _subset_sums(s, s.ints[k:], budget)
 
 
-def remainder_sum(s: SeriesSpec, k: int) -> Rat:
-    """The full tail sum r_k = a_{k+1} + ... + a_N of a scalar series."""
-    if s.dim != 1:
-        raise DomainError("remainder sums are defined for scalar series")
-    _check_k(s, k)
-    return Fraction(_tail(s, k)[0], s.scale)
-
-
 def achievement_set(s: SeriesSpec, budget: Optional[int] = None) -> FiniteSet:
     """E: all P-sums of a nonnegative series, its subset sums for P = {0, 1}."""
     if not s.nonnegative:

@@ -58,11 +58,6 @@ def minkowski_sum(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     return grid.to_set(unpack(sorted(set(map(wrap, [x + y for x in xs for y in ys])))))
 
 
-def difference_set(A: FiniteSet) -> FiniteSet:
-    """A - A, the set of pairwise differences (always symmetric, contains 0)."""
-    return minkowski_sum(A, negate(A))
-
-
 # -- spectre and center -------------------------------------------------------
 
 SPECTRE_MODES = ("fast", "oracle")
@@ -312,25 +307,7 @@ def is_non_sliding(A: FiniteSet) -> SetVerdict:
                               "two pairs realize the same distance")
 
 
-def min_positive_distance(A: FiniteSet) -> Optional[DistValue]:
-    """Smallest positive distance between two points of A, or None for a
-    singleton."""
-    if len(A) < 2:
-        return None
-    grid = Grid.of(A.ctx, A)
-    return grid.dist_value(min(map(min, map(_row_dists(grid, A.ints), range(len(A) - 1)))))
-
-
 # -- constructions ------------------------------------------------------------
-
-def spectre_inflate(B: FiniteSet, x: Point) -> FiniteSet:
-    """B together with its translate B + x, forcing {0, x} into the spectre
-    of the result."""
-    x = validate_point(B.ctx, x)
-    if x == zero(B.ctx):
-        raise DomainError("the shift must be nonzero")
-    return minkowski_sum(B, FiniteSet(B.ctx, [zero(B.ctx), x]))
-
 
 def _perturbations(dim: int) -> Iterator[Tuple[int, int, int, int]]:
     """Deterministic stream of nonzero vectors with sup norm below eps, each

@@ -1,4 +1,7 @@
-"""Seeded random generators shared by the unit and acceptance suites.
+"""Seeded random generators shared by the unit and acceptance suites, and
+the paper's constructions that the tests check, built from the public API:
+<x>, A - A, B u (B + x), the least positive distance, a family converging
+to A, and the tail sum r_k.
 
 All randomness flows through an explicit ``random.Random`` instance, so a
 fixed seed reproduces every generated case exactly.
@@ -6,17 +9,23 @@ fixed seed reproduces every generated case exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from spectrekit import (
+    DistValue,
     FiniteAbelian,
     FiniteSet,
     RationalSpace,
     SeriesSpec,
+    distance_set,
     finite_set,
+    minkowski_sum,
+    negate,
     series_spec,
+    zero,
 )
 
 Pt = Tuple[Fraction, ...]
@@ -155,3 +164,39 @@ def rand_pspec(r: random.Random, max_coeffs: int = 3,
 def menu(s: SeriesSpec) -> List[Fraction]:
     """The coefficient menu P of a series, read back off its grid."""
     return [Fraction(c, s.coeff_scale) for c in s.coeffs]
+
+
+def subgroup_generated(ctx: FiniteAbelian, x: Pt) -> FiniteSet:
+    """<x>: the multiples k*x for k below lcm(m_i), which the order of x divides."""
+    return finite_set(ctx, [tuple(k * c for c in x) for k in range(math.lcm(*ctx.moduli))])
+
+
+def difference_set(A: FiniteSet) -> FiniteSet:
+    """A - A, the pairwise differences (symmetric, and it holds 0)."""
+    return minkowski_sum(A, negate(A))
+
+
+def spectre_inflate(B: FiniteSet, x: Pt) -> FiniteSet:
+    """B u (B + x), whose spectre holds x."""
+    return minkowski_sum(B, finite_set(B.ctx, [zero(B.ctx), x]))
+
+
+def min_positive_distance(A: FiniteSet) -> Optional[DistValue]:
+    """The least positive distance in A, or None for a singleton."""
+    return distance_set(A)[1] if len(A) > 1 else None
+
+
+def perturbation_family(A: FiniteSet, count: int = 8) -> List[FiniteSet]:
+    """A family converging to A in Q^d: A's largest point moved along the
+    first axis by base/2^n for n = 1..count, with base = min(1, the least
+    positive distance in A) / 4, or 1/4 for a singleton."""
+    eta = min_positive_distance(A)
+    base = Fraction(1, 4) if eta is None else min(Fraction(1), eta.value) / 4
+    *rest, (x, *others) = A.elements
+    return [finite_set(A.ctx, [*rest, (x + base / 2 ** n, *others)])
+            for n in range(1, count + 1)]
+
+
+def remainder_sum(s: SeriesSpec, k: int) -> Fraction:
+    """The tail sum r_k = a_{k+1} + ... + a_N of a scalar series."""
+    return sum((t for (t,) in s.terms[k:]), Fraction(0))

@@ -16,7 +16,6 @@ from spectrekit import (
     FiniteAbelian,
     RationalSpace,
     densify_to_netset,
-    difference_set,
     dist,
     finite_set,
     find_gaps,
@@ -27,7 +26,6 @@ from spectrekit import (
     cantor_pair_demo,
     is_net_set,
     is_non_sliding,
-    min_positive_distance,
     minkowski_sum,
     negate,
     probe_spectre_continuity,
@@ -37,13 +35,14 @@ from spectrekit import (
     second_gap_lemma_2d,
     series_spectre_checks,
     spectre,
-    subgroup_generated,
     third_gap_check,
     translate,
     zero,
 )
 from spectrekit.cli import run
 from gen import (
+    difference_set,
+    min_positive_distance,
     rand_finab_ctx,
     rand_finab_set,
     rand_noninc_series,
@@ -52,6 +51,7 @@ from gen import (
     rand_qset,
     rand_series,
     rand_unit_qset,
+    subgroup_generated,
 )
 from oracles import dense_translation_supremum, translation_predicate
 

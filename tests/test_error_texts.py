@@ -20,10 +20,8 @@ from spectrekit import (
     gap_translation_check,
     hausdorff,
     minkowski_sum,
-    perturbation_family,
     point,
     probe_spectre_continuity,
-    remainder_sum,
     second_gap_lemma_2d,
     series_spec,
     series_spectre_checks,
@@ -70,13 +68,6 @@ ERRORS = {
     "gap-translation-planar": (
         lambda: gap_translation_check(finite_set(RationalSpace(2), [point(0, 0)]), (0, 1)),
         DomainError, "a one-dimensional rational set is required"),
-    "perturbation-finite-group": (
-        lambda: perturbation_family(finite_set(FiniteAbelian((5,)), [point(0), point(1)])),
-        DomainError, "perturbation families need a rational-space context"),
-    "perturbation-one-member": (lambda: perturbation_family(LINE, count=1), DomainError,
-                                "need at least two family members"),
-    "remainder-planar": (lambda: remainder_sum(PLANAR, 1), DomainError,
-                         "remainder sums are defined for scalar series"),
     "first-gap-planar": (lambda: first_gap_check_1d(PLANAR, 1), DomainError,
                          "this gap prediction applies to scalar series"),
     "first-gap-negative": (lambda: first_gap_check_1d(series_spec(["1", "-1/2"]), 1),

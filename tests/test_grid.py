@@ -15,16 +15,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from spectrekit import (
+    DomainError,
     FiniteAbelian,
     RationalSpace,
     achievement_set,
     achievement_set_2d,
-    difference_set,
     dist,
     finite_set,
     format_rat,
@@ -36,6 +37,7 @@ from spectrekit import (
     series_spec,
     translate,
 )
+from gen import difference_set
 from spectrekit.formats import encode_set
 from spectrekit.groups import EUCLIDEAN_SQUARED, SUP, TAXICAB, Grid
 from spectrekit.planar import is_rect_gap
@@ -169,6 +171,18 @@ def test_scale_shrinks_when_denominators_cancel():
     total = minkowski_sum(half, half)
     assert (total.scale, total.ints) == (1, ((1,), (2,), (3,)))
     assert_canonical(total, finite_set(Q1, [(1,), (2,), (3,)]))
+
+
+def test_a_grid_holds_a_set_only_at_a_multiple_of_its_scale():
+    # A = {0, 1/2, 3/2} has scale 2: on the grids of scale 1 and 3 some of
+    # its points fall between grid points.
+    Q1 = RationalSpace(1)
+    A = finite_set(Q1, [(0,), (Fraction(1, 2),), (Fraction(3, 2),)])
+    for scale in (1, 3):
+        with pytest.raises(DomainError,
+                           match=f"^a grid of scale {scale} cannot hold a set of scale 2$"):
+            Grid(Q1, scale).ints(A)
+    assert list(Grid(Q1, 6).ints(A)) == [(0,), (3,), (9,)]
 
 
 def test_equal_series_have_equal_fields():

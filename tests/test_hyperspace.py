@@ -20,7 +20,6 @@ from spectrekit import (
     finite_set,
     hausdorff,
     minkowski_sum,
-    perturbation_family,
     point,
     probe_spectre_continuity,
     refute_spectre_image,
@@ -28,7 +27,8 @@ from spectrekit import (
     translate,
 )
 from spectrekit import hyperspace
-from gen import WIDE, rand_finab_ctx, rand_finab_set, rand_qset, rand_unit_qset, space_sets
+from gen import (WIDE, perturbation_family, rand_finab_ctx, rand_finab_set, rand_qset,
+                 rand_unit_qset, space_sets)
 
 Q1 = RationalSpace(1)
 Q2 = RationalSpace(2)
